@@ -50,7 +50,7 @@ void run_flood(benchmark::State& state, pnm::net::EventCoreImpl impl) {
           pnm::net::Packet p;
           p.report =
               pnm::net::Report{static_cast<std::uint32_t>(src),
-                               static_cast<std::uint32_t>(i), 0, 0}
+                               static_cast<std::uint16_t>(i), 0, 0}
                   .encode();
           p.true_source = src;
           p.seq = i;

@@ -9,10 +9,14 @@
 #      check the serve-plane series are present, then scrape /spans and
 #      require valid Chrome trace-event JSON with verify-path spans (the
 #      daemon runs with --span-trace so collection is live);
+#   3c. 300 /healthz requests must leave the daemon's thread count unchanged
+#      and grow its VmSize by less than 100 MB (growth, not size: ASan maps
+#      huge shadow regions);
 #   4. /rekey to epoch 1, then stream one more session and require the sink
 #      to acknowledge every record under the new keys (zero drops);
-#   5. /drain and require the final report to account for every record of
-#      every session, then require the daemon process to exit 0;
+#   5. /drain with an idle admin client attached, and require the final
+#      report to account for every record of every session, then require the
+#      daemon process to exit 0 within the drain deadline anyway;
 #   6. flight-recorder drill on a second daemon: kill -9 a loadgen client
 #      mid-stream, require the digest-mismatch anomaly counter to fire and
 #      the anomaly-triggered `.pnmflight` dump to validate through
@@ -136,6 +140,22 @@ print(f"/spans ok: {len(spans)} spans over {len(names)} scopes "
       f"+ {len(prov)} provenance instants")
 EOF
 
+# --- 3c. admin churn holds no threads or memory -----------------------------
+status_field() { sed -n "s/^$1:[[:space:]]*\([0-9]*\).*/\1/p" "/proc/$daemon_pid/status"; }
+threads_before="$(status_field Threads)"
+vm_before="$(status_field VmSize)"
+for _ in $(seq 1 300); do
+  [[ "$(admin /healthz)" == "ok" ]] || { echo "error: /healthz not ok" >&2; exit 1; }
+done
+threads_after="$(status_field Threads)"
+vm_growth_mb=$(( ($(status_field VmSize) - vm_before) / 1024 ))
+if [[ "$threads_after" -ne "$threads_before" || "$vm_growth_mb" -ge 100 ]]; then
+  echo "error: 300 /healthz requests moved Threads $threads_before -> $threads_after," >&2
+  echo "       VmSize by ${vm_growth_mb} MB" >&2
+  exit 1
+fi
+echo "admin churn ok: 300 /healthz, Threads $threads_after, VmSize +${vm_growth_mb} MB"
+
 # --- 4. live rekey, then a full session under the new epoch -----------------
 rekey_json="$(admin /rekey)"
 [[ "$rekey_json" == '{"epoch":1}' ]] \
@@ -160,6 +180,9 @@ print(f"post-rekey session acknowledged {lg2['records']} records "
 EOF
 
 # --- 5. drain and account for everything ------------------------------------
+# An admin client that connects and never sends a request must not keep the
+# daemon alive past its drain.
+exec 3<>"/dev/tcp/127.0.0.1/$admin_port"
 drain_json="$(admin /drain)"
 echo "drain: $drain_json"
 python3 - "$workdir/loadgen1.json" "$workdir/loadgen2.json" <<EOF
@@ -176,9 +199,18 @@ print(f"drain accounted for {drain['records']} records over "
       f"{drain['sessions']} sessions at epoch {drain['key_epoch']}")
 EOF
 
+for _ in $(seq 1 250); do
+  kill -0 "$daemon_pid" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$daemon_pid" 2>/dev/null; then
+  echo "error: daemon still running 25 s after /drain with an idle admin client" >&2
+  exit 1
+fi
+exec 3<&-
 wait "$daemon_pid"
 daemon_pid=""
-echo "daemon exited cleanly"
+echo "daemon exited cleanly (idle admin client still attached)"
 
 # --- 6. flight-recorder drill: abort a client mid-stream --------------------
 # A fresh daemon with a dense provenance sample rate (so the aborted stream
@@ -229,7 +261,7 @@ wait "$victim_pid" 2>/dev/null || true
 victim_pid=""
 echo "victim loadgen killed mid-stream after $records record(s)"
 
-# The session thread notices the dead socket and notes a digest-mismatch
+# The daemon notices the dead session socket and notes a digest-mismatch
 # anomaly (stream ended, no digest receipt); poll the per-kind counter.
 mismatches=0
 for _ in $(seq 1 200); do

@@ -1,6 +1,7 @@
 #include "ingest/stream_digest.h"
 
 #include <chrono>
+#include <utility>
 
 namespace pnm::ingest {
 
@@ -18,6 +19,7 @@ void StreamDigest::on_entry(std::uint64_t stream_seq, ByteView fingerprint,
     buffer_.pop();
   }
   folded_cv_.notify_all();
+  if (notify_ && records_ >= notify_n_) std::exchange(notify_, nullptr)();
 }
 
 std::size_t StreamDigest::records() const {
@@ -33,6 +35,17 @@ std::size_t StreamDigest::marks() const {
 bool StreamDigest::wait_for_records(std::size_t n, std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lock(mu_);
   return folded_cv_.wait_for(lock, timeout, [&] { return records_ >= n; });
+}
+
+void StreamDigest::notify_at(std::size_t n, std::function<void()> done) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (records_ >= n) {
+    lock.unlock();
+    done();
+    return;
+  }
+  notify_n_ = n;
+  notify_ = std::move(done);
 }
 
 std::string StreamDigest::digest_hex() {

@@ -15,13 +15,15 @@
 // (invoked from shard-lane threads, concurrently); StreamDigest is the
 // standard implementation — a small seq-keyed reorder buffer in front of a
 // running SHA-256, plus the record/mark counts the session reports back on
-// EOF, and a completion wait the session blocks on before sending its final
-// digest message.
+// EOF, and a completion callback the session's event loop arms before
+// sending its final digest message (or a blocking wait, for in-process
+// producers).
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <queue>
 #include <string>
@@ -60,10 +62,17 @@ class StreamDigest : public StreamSink {
   /// Verified marks accumulated across folded records.
   std::size_t marks() const;
 
-  /// Block until `n` records have been folded — the session's EOF barrier:
-  /// every record it pushed has cleared verification and the digest is
-  /// final. Returns false on timeout.
+  /// Block until `n` records have been folded: every record the producer
+  /// pushed has cleared verification and the digest is final. Returns false
+  /// on timeout.
   bool wait_for_records(std::size_t n, std::chrono::milliseconds timeout);
+
+  /// The non-blocking EOF barrier: call `done` once, as soon as `n` records
+  /// have been folded — at once on this thread if they already are, else
+  /// later from the lane thread that folds the n-th. `done` must be cheap
+  /// and must not call back into this digest (the serve loop's is a wake-fd
+  /// write).
+  void notify_at(std::size_t n, std::function<void()> done);
 
   /// Hex SHA-256 over the folded fingerprints in stream order. Finalizes on
   /// first call (idempotent afterwards); call after the EOF barrier.
@@ -86,6 +95,8 @@ class StreamDigest : public StreamSink {
   std::size_t marks_ = 0;
   crypto::Sha256 digest_;
   std::string digest_hex_;
+  std::size_t notify_n_ = 0;
+  std::function<void()> notify_;
 };
 
 }  // namespace pnm::ingest

@@ -1,7 +1,12 @@
 #include "serve/server.h"
 
-#include <sys/socket.h>
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <optional>
 #include <utility>
@@ -10,11 +15,23 @@
 #include "marking/scheme.h"
 #include "obs/exposition.h"
 #include "serve/admin.h"
+#include "serve/session.h"
 #include "trace/reader.h"
 
 namespace pnm::serve {
 
 namespace {
+
+constexpr std::size_t kRecvChunk = 64 * 1024;
+constexpr auto kDrainGrace = std::chrono::seconds(20);
+constexpr auto kRekeyGrace = std::chrono::seconds(30);
+/// Longest poll sleep while a rekey waits for the pipeline to go quiet.
+constexpr auto kRekeyPoll = std::chrono::milliseconds(1);
+/// Accept pause after fd or memory exhaustion, unless a connection closes.
+constexpr auto kAcceptBackoff = std::chrono::milliseconds(100);
+/// Descriptors kept back from the connection cap for listeners, the wake
+/// fd, trace and flight files, and the process's own needs.
+constexpr rlim_t kFdReserve = 64;
 
 std::optional<marking::SchemeKind> scheme_kind_by_name(const std::string& name) {
   for (auto kind : marking::all_scheme_kinds())
@@ -44,9 +61,11 @@ Server::Server(const ServerConfig& cfg)
       counters_(cfg.counters ? cfg.counters : &local_counters_),
       sessions_total_(&counters_->registry().counter("serve_sessions")),
       sessions_active_(&counters_->registry().gauge("serve_sessions_active")),
+      connections_(&counters_->registry().gauge("serve_connections")),
       records_total_(&counters_->registry().counter("serve_records")),
       bytes_rx_total_(&counters_->registry().counter("serve_bytes_rx")),
       aborts_total_(&counters_->registry().counter("serve_aborts")),
+      accept_errors_(&counters_->registry().counter("serve_accept_errors")),
       rekeys_total_(&counters_->registry().counter("serve_rekeys")),
       key_epoch_gauge_(&counters_->registry().gauge("serve_key_epoch")) {}
 
@@ -107,16 +126,19 @@ std::unique_ptr<Server> Server::create(const ServerConfig& cfg, std::string* err
 
   std::string sock_err;
   server->tcp_listener_ = Listener::tcp(cfg.tcp_port, &sock_err);
-  if (!server->tcp_listener_.valid())
-    return fail("tcp listener: " + sock_err);
+  if (!server->tcp_listener_.valid()) return fail("tcp listener: " + sock_err);
   if (!cfg.unix_socket_path.empty()) {
     server->unix_listener_ = Listener::unix_path(cfg.unix_socket_path, &sock_err);
-    if (!server->unix_listener_.valid())
-      return fail("unix listener: " + sock_err);
+    if (!server->unix_listener_.valid()) return fail("unix listener: " + sock_err);
   }
-  server->admin_ = std::make_unique<AdminServer>(*server);
-  if (!server->admin_->start(cfg.admin_port, &sock_err))
-    return fail("admin listener: " + sock_err);
+  server->admin_listener_ = Listener::tcp(cfg.admin_port, &sock_err);
+  if (!server->admin_listener_.valid()) return fail("admin listener: " + sock_err);
+  server->wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (server->wake_fd_ < 0) return fail("eventfd failed");
+
+  rlimit fds{};
+  ::getrlimit(RLIMIT_NOFILE, &fds);  // RLIM_INFINITY is huge: no cap to speak of
+  server->max_connections_ = fds.rlim_cur > kFdReserve ? fds.rlim_cur - kFdReserve : 1;
 
   server->key_epoch_gauge_->set(0);
   return server;
@@ -124,10 +146,18 @@ std::unique_ptr<Server> Server::create(const ServerConfig& cfg, std::string* err
 
 Server::~Server() {
   drain();  // idempotent; a clean exit already drained
-  if (admin_) admin_->stop();
+  stop_requested_ = true;
+  if (loop_.joinable()) {
+    wake();
+    loop_.join();
+  }
+  if (wake_fd_ >= 0) ::close(wake_fd_);
 }
 
-std::uint16_t Server::admin_port() const { return admin_ ? admin_->port() : 0; }
+void Server::wake() {
+  std::uint64_t one = 1;
+  if (::write(wake_fd_, &one, sizeof(one)) < 0) return;  // EAGAIN: awake anyway
+}
 
 void Server::start() {
   if (started_.exchange(true)) return;
@@ -144,121 +174,83 @@ void Server::start() {
       consumer_error_ = "unknown pipeline failure";
     }
   });
-  accept_threads_.emplace_back([this] { accept_loop(&tcp_listener_); });
-  if (unix_listener_.valid())
-    accept_threads_.emplace_back([this] { accept_loop(&unix_listener_); });
-
-  if (cfg_.watchdog_ms > 0) {
-    watchdog_ = std::make_unique<obs::AnomalyWatchdog>(
-        std::chrono::milliseconds(cfg_.watchdog_ms));
-    // Merge stall: the frontier stopped advancing across several polls while
-    // issued sequence numbers are still ahead of it. A rekey holds the gate
-    // for up to 30s, but it first waits for quiescence — frontier motion —
-    // so a genuinely stuck merge is distinguishable from a busy one.
-    watchdog_->add_probe(obs::AnomalyKind::kMergeStall,
-                         [this]() -> std::optional<std::string> {
-                           std::uint64_t frontier = pipeline_->merge_frontier();
-                           std::uint64_t issued = pipeline_->seqs_issued();
-                           if (frontier == stall_frontier_ && issued > frontier) {
-                             if (++stall_polls_ >= 8)
-                               return "merge frontier stuck at " +
-                                      std::to_string(frontier) + " with " +
-                                      std::to_string(issued - frontier) +
-                                      " records in flight";
-                           } else {
-                             stall_polls_ = 0;
-                           }
-                           stall_frontier_ = frontier;
-                           return std::nullopt;
-                         });
-    // Queue saturation: some shard queue is pinned at capacity, so producers
-    // are blocked on backpressure.
-    watchdog_->add_probe(obs::AnomalyKind::kQueueSaturated,
-                         [this]() -> std::optional<std::string> {
-                           std::size_t depth = pipeline_->max_queue_depth();
-                           std::size_t cap = pipeline_->queue_capacity();
-                           if (cap > 0 && depth >= cap)
-                             return "shard queue saturated: " +
-                                    std::to_string(depth) + "/" +
-                                    std::to_string(cap);
-                           return std::nullopt;
-                         });
-    watchdog_->start();
-  }
+  if (cfg_.watchdog_ms > 0) start_watchdog();  // before the loop, which stops it
+  loop_ = std::thread([this] { run_loop(); });
 }
 
-void Server::accept_loop(Listener* listener) {
-  while (true) {
-    Socket sock = listener->accept_conn();
-    if (!sock.valid()) return;  // listener closed (drain) or fatal
-    if (draining()) continue;   // raced a late connect past the close
-    spawn_session(std::move(sock));
-  }
+void Server::start_watchdog() {
+  watchdog_ = std::make_unique<obs::AnomalyWatchdog>(
+      std::chrono::milliseconds(cfg_.watchdog_ms));
+  // Merge stall: the frontier stopped advancing across several polls while
+  // issued sequence numbers are still ahead of it. A rekey pauses ingest
+  // for up to 30s, but it waits for quiescence — frontier motion — so a
+  // genuinely stuck merge is distinguishable from a busy one.
+  watchdog_->add_probe(obs::AnomalyKind::kMergeStall,
+                       [this]() -> std::optional<std::string> {
+                         std::uint64_t frontier = pipeline_->merge_frontier();
+                         std::uint64_t issued = pipeline_->seqs_issued();
+                         if (frontier == stall_frontier_ && issued > frontier) {
+                           if (++stall_polls_ >= 8)
+                             return "merge frontier stuck at " +
+                                    std::to_string(frontier) + " with " +
+                                    std::to_string(issued - frontier) +
+                                    " records in flight";
+                         } else {
+                           stall_polls_ = 0;
+                         }
+                         stall_frontier_ = frontier;
+                         return std::nullopt;
+                       });
+  // Queue saturation: some shard queue is pinned at capacity, so the loop
+  // is blocked on backpressure.
+  watchdog_->add_probe(obs::AnomalyKind::kQueueSaturated,
+                       [this]() -> std::optional<std::string> {
+                         std::size_t depth = pipeline_->max_queue_depth();
+                         std::size_t cap = pipeline_->queue_capacity();
+                         if (cap > 0 && depth >= cap)
+                           return "shard queue saturated: " + std::to_string(depth) +
+                                  "/" + std::to_string(cap);
+                         return std::nullopt;
+                       });
+  watchdog_->start();
 }
 
-void Server::spawn_session(Socket sock) {
-  std::uint64_t id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
-  int fd = sock.fd();
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    session_fds_[id] = fd;
-    session_threads_.emplace_back(
-        [this, id](Socket s) {
-          auto session = std::make_unique<Session>(std::move(s), *this, id);
-          sessions_total_->add();
-          sessions_served_.fetch_add(1, std::memory_order_relaxed);
-          pipeline_->attach_producer();
-          sessions_active_->set(
-              static_cast<std::int64_t>(pipeline_->active_producers()));
-          session->run();
-          pipeline_->detach_producer();
-          sessions_active_->set(
-              static_cast<std::int64_t>(pipeline_->active_producers()));
-          // Unregister while the Session (and its socket) is still alive:
-          // the fd in session_fds_ is then always this session's own open
-          // descriptor, so drain's forced ::shutdown can never hit a number
-          // the kernel recycled onto an unrelated socket.
-          unregister_session(id);
-        },
-        std::move(sock));
-  }
+std::string Server::metrics_prometheus() const {
+  return obs::to_prometheus(counters_->registry().scrape());
 }
 
-void Server::unregister_session(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  session_fds_.erase(id);
-  sessions_cv_.notify_all();
+DrainReport Server::drain() {
+  drain_requested_ = true;
+  if (started_.load(std::memory_order_acquire))
+    wake();
+  else if (healthy())
+    finish_drain();  // never started: no loop, nothing in flight
+  return wait();
 }
 
-bool Server::gated_push(net::Packet&& p, double time_s,
-                        std::shared_ptr<ingest::StreamSink> sink,
-                        std::uint64_t stream_seq) {
-  std::shared_lock<std::shared_mutex> gate(ingest_gate_);
-  if (!pipeline_->push(std::move(p), time_s, std::move(sink), stream_seq))
-    return false;
-  records_total_->add();
-  return true;
+DrainReport Server::wait() {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return !healthy(); });
+  return report_;
 }
-
-void Server::note_session_bytes(std::size_t n) {
-  bytes_rx_total_->add(static_cast<std::uint64_t>(n));
-}
-
-void Server::note_session_abort() { aborts_total_->add(); }
 
 std::optional<std::uint64_t> Server::rekey() {
-  // Exclusive gate: no session can push while we wait for the pipeline to go
-  // quiet, so "quiescent" can only flip to true and stay there.
-  std::unique_lock<std::shared_mutex> gate(ingest_gate_);
-  if (!pipeline_->wait_quiescent(std::chrono::milliseconds(30000))) {
-    // Records are still in queues or lane batches past the grace period:
-    // swapping keys now would race the lanes' verify caches and verify
-    // in-flight records under the wrong epoch. Keep the old keys and fail.
-    obs::FlightRecorder::global().note_anomaly(
-        obs::AnomalyKind::kRekeyFailed,
-        "rekey abandoned: pipeline failed to quiesce within grace period");
-    return std::nullopt;
-  }
+  // Without a loop nothing pushes, so the pipeline is trivially quiescent.
+  if (!started_.load(std::memory_order_acquire)) return swap_keys();
+  std::uint64_t round = request_rekey();
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return rekey_round_ > round; });
+  return rekey_result_;
+}
+
+std::uint64_t Server::request_rekey() {
+  std::lock_guard<std::mutex> lock(mu_);
+  rekey_wanted_ = true;
+  wake();
+  return rekey_round_;
+}
+
+std::uint64_t Server::swap_keys() {
   std::uint64_t epoch = bank_->key_epoch() + 1;
   auto keys = std::make_shared<const crypto::KeyStore>(
       epoch_master_secret(seed_, epoch), topo_->node_count());
@@ -268,80 +260,168 @@ std::optional<std::uint64_t> Server::rekey() {
   return epoch;
 }
 
-std::string Server::metrics_prometheus() const {
-  return obs::to_prometheus(counters_->registry().scrape());
+// ---------------------------------------------------------------------------
+// The poll loop. Everything below runs on the loop thread only.
+
+void Server::run_loop() {
+  Bytes rx(kRecvChunk);
+  std::vector<pollfd> fds;
+  while (true) {
+    if (stop_requested_) break;
+    Clock::time_point now = Clock::now();
+    reap(now);  // first, so a drain sees every session that just finished
+    step_rekey(now);
+    step_drain(now);
+    reap(now);  // again, for the answers those two steps just made ready
+
+    // The poll set: wake fd, the three listeners, then every connection.
+    // fd -1 is a slot poll() skips.
+    bool accepting = now >= accept_paused_until_;
+    fds.assign({{wake_fd_, POLLIN, 0},
+                {accepting ? tcp_listener_.fd() : -1, POLLIN, 0},
+                {accepting ? unix_listener_.fd() : -1, POLLIN, 0},
+                {accepting ? admin_listener_.fd() : -1, POLLIN, 0}});
+    Clock::time_point wake_at = now + std::chrono::hours(1);
+    if (rekey_deadline_) wake_at = now + kRekeyPoll;
+    if (drain_deadline_ && healthy()) wake_at = std::min(wake_at, *drain_deadline_);
+    if (!accepting) wake_at = std::min(wake_at, accept_paused_until_);
+    for (auto* conns : {&sessions_, &admins_})
+      for (const auto& c : *conns) {
+        short events = c->events();
+        fds.push_back({events < 0 ? -1 : c->fd(), std::max<short>(events, 0), 0});
+        wake_at = std::min(wake_at, c->deadline());
+      }
+    auto wait = std::chrono::ceil<std::chrono::milliseconds>(wake_at - now).count();
+    if (::poll(fds.data(), fds.size(), static_cast<int>(std::max<long>(0, wait))) < 0)
+      continue;  // EINTR
+    now = Clock::now();
+
+    std::uint64_t wakes;
+    if (fds[0].revents && ::read(wake_fd_, &wakes, sizeof(wakes)) < 0) wakes = 0;  // EAGAIN
+    const pollfd* p = &fds[4];
+    for (auto* conns : {&sessions_, &admins_})
+      for (const auto& c : *conns) {
+        short revents = p++->revents;
+        if ((revents & POLLOUT) && !c->flush()) c->on_hangup();
+        if (!(revents & (POLLIN | POLLHUP | POLLERR))) continue;
+        long got = c->events() == POLLIN ? c->read(rx.data(), rx.size()) : 0;
+        if (got > 0) {
+          c->last_io = now;
+          c->on_bytes(ByteView(rx.data(), static_cast<std::size_t>(got)));
+        } else if (got != -1) {
+          c->on_hangup();
+        }
+      }
+    if (fds[1].revents) accept_from(tcp_listener_, false, now);
+    if (fds[2].revents) accept_from(unix_listener_, false, now);
+    if (fds[3].revents) accept_from(admin_listener_, true, now);
+  }
+
+  // Stopping: close whatever is still open and release any rekey() caller.
+  sessions_.clear();
+  admins_.clear();
+  connections_->set(0);
+  std::lock_guard<std::mutex> lock(mu_);
+  rekey_result_.reset();
+  ++rekey_round_;
+  cv_.notify_all();
 }
 
-DrainReport Server::drain() {
-  std::lock_guard<std::mutex> drain_lock(drain_mu_);
-  if (drained_flag_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(report_mu_);
-    return report_;
-  }
-  draining_.store(true, std::memory_order_release);
-  // Stop the watchdog first: its probes read pipeline state the rest of the
-  // drain sequence is about to tear down, and a draining pipeline legally
-  // looks like a stall.
-  if (watchdog_) watchdog_->stop();
-  // Only shut the listeners down here: the accept threads may still be
-  // blocked inside accept(), and the fd numbers must stay reserved until
-  // those threads are joined below. close() then releases them.
-  tcp_listener_.shutdown_accept();
-  unix_listener_.shutdown_accept();
-
-  // Wait for live sessions to finish their streams; past a grace period,
-  // force their sockets shut so recv() unblocks and they abort cleanly.
-  {
-    std::unique_lock<std::mutex> lock(sessions_mu_);
-    if (!sessions_cv_.wait_for(lock, std::chrono::seconds(20),
-                               [this] { return session_fds_.empty(); })) {
-      for (auto& [id, fd] : session_fds_) ::shutdown(fd, SHUT_RDWR);
-      sessions_cv_.wait_for(lock, std::chrono::seconds(10),
-                            [this] { return session_fds_.empty(); });
+void Server::accept_from(Listener& listener, bool admin, Clock::time_point now) {
+  while (listener.valid()) {
+    int err = 0;
+    Socket sock = listener.accept_conn(&err);
+    if (!sock.valid()) {
+      if (err == 0) return;  // backlog empty
+      accept_errors_->add();
+      // A peer that gave up in the backlog costs nothing; fd or memory
+      // exhaustion pauses accepting until a connection closes.
+      if (err != ECONNABORTED && err != EPROTO) accept_paused_until_ = now + kAcceptBackoff;
+      return;
     }
+    if (sessions_.size() + admins_.size() >= max_connections_) {
+      std::string http = connection_limit_response();
+      sock.send_all(admin ? ByteView(reinterpret_cast<const std::uint8_t*>(http.data()), http.size())
+                          : ByteView(encode_msg(MsgType::kAbort, encode_abort("connection limit"))));
+      continue;  // closes the socket
+    }
+    if (admin)
+      admins_.push_back(std::make_unique<AdminConn>(std::move(sock), *this));
+    else
+      sessions_.push_back(std::make_unique<Session>(std::move(sock), *this, ++sessions_served_));
+    connections_->set(static_cast<std::int64_t>(sessions_.size() + admins_.size()));
   }
+}
 
+void Server::note_closed() {
+  accept_paused_until_ = {};  // a descriptor came free: retry at once
+  connections_->set(static_cast<std::int64_t>(sessions_.size() + admins_.size()));
+}
+
+void Server::reap(Clock::time_point now) {
+  std::size_t open = sessions_.size() + admins_.size();
+  for (auto* conns : {&sessions_, &admins_})
+    std::erase_if(*conns, [now](const auto& c) { return c->tick(now); });
+  if (sessions_.size() + admins_.size() < open) note_closed();
+}
+
+void Server::step_rekey(Clock::time_point now) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!rekey_wanted_) return;
+  // The loop is the only producer and reads no session while
+  // rekey_deadline_ is set, so once quiescent() turns true it stays true.
+  if (!rekey_deadline_) rekey_deadline_ = now + kRekeyGrace;
+  bool quiet = pipeline_->quiescent();
+  if (!quiet && now < *rekey_deadline_) return;
+  if (quiet) {
+    rekey_result_ = swap_keys();
+  } else {
+    // Records are still in queues or lane batches past the grace period:
+    // swapping keys now would race the lanes' verify caches and verify
+    // in-flight records under the wrong epoch. Keep the old keys and fail.
+    obs::FlightRecorder::global().note_anomaly(
+        obs::AnomalyKind::kRekeyFailed,
+        "rekey abandoned: pipeline failed to quiesce within grace period");
+    rekey_result_.reset();
+  }
+  ++rekey_round_;
+  rekey_wanted_ = false;
+  rekey_deadline_.reset();
+  cv_.notify_all();
+}
+
+void Server::step_drain(Clock::time_point now) {
+  if (!drain_requested_ || !healthy()) return;
+  if (!drain_deadline_) {
+    // Stop accepting, then close every connection that owes nothing.
+    if (watchdog_) watchdog_->stop();  // a draining pipeline looks stalled
+    tcp_listener_.close();
+    unix_listener_.close();
+    for (auto* conns : {&sessions_, &admins_})
+      std::erase_if(*conns, [](const auto& c) { return c->idle(); });
+    note_closed();
+    drain_deadline_ = now + kDrainGrace;
+  }
+  if (now >= *drain_deadline_) {  // grace over: close sessions mid-stream
+    sessions_.clear();
+    note_closed();
+  }
+  if (sessions_.empty() && !rekey_deadline_) finish_drain();
+}
+
+void Server::finish_drain() {
   if (started_.load(std::memory_order_acquire)) {
     pipeline_->close();
     if (consumer_.joinable()) consumer_.join();
-    for (auto& t : accept_threads_) t.join();
-    accept_threads_.clear();
-  }
-  tcp_listener_.close();
-  unix_listener_.close();
-  {
-    // Join outside sessions_mu_: a session thread's exit path takes that
-    // mutex in unregister_session, so joining under the lock would deadlock
-    // against any session that outlived the forced-shutdown grace period.
-    std::vector<std::thread> session_threads;
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      session_threads.swap(session_threads_);
-    }
-    for (auto& t : session_threads) t.join();
   }
   pipeline_->retire_shard_gauges();
-
-  DrainReport report;
-  report.records = pipeline_->stats().records;
-  report.sessions = sessions_served_.load(std::memory_order_relaxed);
-  report.key_epoch = bank_->key_epoch();
-  report.verdict_digest = pipeline_->verdict_digest();
-  report.error = consumer_error_;
   {
-    std::lock_guard<std::mutex> lock(report_mu_);
-    report_ = report;
-    report_ready_ = true;
+    std::lock_guard<std::mutex> lock(mu_);
+    report_ = DrainReport{pipeline_->stats().records, sessions_served_, bank_->key_epoch(),
+                          pipeline_->verdict_digest(), consumer_error_};
+    drained_flag_.store(true, std::memory_order_release);
   }
-  drained_flag_.store(true, std::memory_order_release);
-  drained_cv_.notify_all();
-  return report;
-}
-
-DrainReport Server::wait() {
-  std::unique_lock<std::mutex> lock(report_mu_);
-  drained_cv_.wait(lock, [this] { return report_ready_; });
-  return report_;
+  cv_.notify_all();
 }
 
 }  // namespace pnm::serve

@@ -1,5 +1,7 @@
 #include "serve/session.h"
 
+#include <poll.h>
+
 #include <utility>
 
 #include "net/wire.h"
@@ -10,65 +12,69 @@
 namespace pnm::serve {
 
 namespace {
-constexpr std::size_t kRecvChunk = 64 * 1024;
+/// How long an accepted Eof may wait for its records to fold.
+constexpr auto kReceiptDeadline = std::chrono::seconds(60);
+/// How long a session may move no bytes while it is owed no receipt.
+constexpr auto kIdleDeadline = std::chrono::seconds(60);
 }  // namespace
 
 Session::Session(Socket sock, Server& server, std::uint64_t id)
-    : sock_(std::move(sock)), server_(server), id_(id) {
-  sock_.set_nodelay();
+    : Conn(std::move(sock)), server_(server), id_(id) {
   trace_.meter_into(server_.counters());
+  server_.sessions_total_->add();
+  server_.pipeline_->attach_producer();
+  server_.sessions_active_->set(static_cast<std::int64_t>(server_.pipeline_->active_producers()));
 }
 
-void Session::run() {
-  Bytes buf(kRecvChunk);
-  while (!done_) {
-    long n = sock_.recv_some(buf.data(), buf.size());
-    if (n <= 0) {
-      // Peer vanished (or drain force-closed us) without Eof: whatever
-      // records already went in stay in the global digest — they were
-      // verified — but there is no receipt to send. A stream that already
-      // pushed records and then died is a digest-receipt mismatch: the
-      // global digest holds records no client receipt accounts for.
-      if (!done_) {
-        server_.note_session_abort();
-        if (stream_seq_ > 0)
-          obs::FlightRecorder::global().note_anomaly(
-              obs::AnomalyKind::kDigestMismatch,
-              "client disconnected mid-stream after " +
-                  std::to_string(stream_seq_) + " records, no digest receipt",
-              id_);
-      }
-      return;
-    }
-    server_.note_session_bytes(static_cast<std::size_t>(n));
-    msgs_.feed(ByteView(buf.data(), static_cast<std::size_t>(n)));
-    std::optional<Msg> msg;
-    while (!done_ && (msg = msgs_.poll())) {
-      if (!handle_msg(std::move(*msg))) return;
-    }
-    if (msgs_.dead()) {
-      abort_session("oversized protocol message");
-      return;
-    }
-  }
+Session::~Session() {
+  on_hangup();  // no-op unless the daemon is closing it mid-stream
+  server_.pipeline_->detach_producer();
+  server_.sessions_active_->set(static_cast<std::int64_t>(server_.pipeline_->active_producers()));
 }
 
-bool Session::handle_msg(Msg msg) {
-  if (!hello_done_ && msg.type != MsgType::kHello) {
-    abort_session("expected Hello");
-    return false;
+short Session::events() const {
+  if (!flushed()) return POLLOUT;
+  if (done_) return -1;
+  if (awaiting_receipt()) return 0;  // still hears POLLHUP/POLLERR
+  return server_.ingest_paused() ? -1 : POLLIN;
+}
+
+void Session::on_bytes(ByteView data) {
+  server_.bytes_rx_total_->add(data.size());
+  msgs_.feed(data);
+  // Messages after Eof are never read: the stream is over.
+  while (!done_ && !awaiting_receipt()) {
+    std::optional<Msg> msg = msgs_.poll();
+    if (!msg) break;
+    handle_msg(std::move(*msg));
   }
+  if (!done_ && msgs_.dead()) abort_session("oversized protocol message");
+}
+
+void Session::on_hangup() {
+  if (done_) return;
+  done_ = true;
+  server_.aborts_total_->add();
+  // A stream that already pushed records and then died is a digest-receipt
+  // mismatch: the global digest holds records no client receipt accounts
+  // for.
+  if (stream_seq_ > 0)
+    obs::FlightRecorder::global().note_anomaly(
+        obs::AnomalyKind::kDigestMismatch,
+        "client disconnected mid-stream after " + std::to_string(stream_seq_) +
+            " records, no digest receipt",
+        id_);
+}
+
+void Session::handle_msg(Msg msg) {
+  if (!hello_done_ && msg.type != MsgType::kHello) return abort_session("expected Hello");
   switch (msg.type) {
     case MsgType::kHello: {
       auto hello = decode_hello(msg.payload);
-      if (!hello || hello->proto != kProtoVersion) {
-        abort_session("unsupported protocol version");
-        return false;
-      }
-      if (hello->campaign_id != server_.campaign_id()) {
-        abort_session("campaign mismatch: sink serves " + server_.campaign_id());
-        return false;
-      }
+      if (!hello || hello->proto != kProtoVersion)
+        return abort_session("unsupported protocol version");
+      if (hello->campaign_id != server_.campaign_id())
+        return abort_session("campaign mismatch: sink serves " + server_.campaign_id());
       hello_done_ = true;
       HelloAck ack;
       ack.credit_window = server_.credit_window();
@@ -81,42 +87,39 @@ bool Session::handle_msg(Msg msg) {
       return drain_trace_frames();
     case MsgType::kEof: {
       auto eof = decode_eof(msg.payload);
-      if (!eof) {
-        abort_session("malformed Eof");
-        return false;
-      }
+      if (!eof) return abort_session("malformed Eof");
       trace_.finish();
-      if (!drain_trace_frames()) return false;
-      if (outcomes_ != eof->records_sent) {
-        abort_session("record-frame accounting mismatch at Eof");
-        return false;
-      }
-      return finish_and_report();
+      drain_trace_frames();
+      if (done_) return;
+      if (outcomes_ != eof->records_sent)
+        return abort_session("record-frame accounting mismatch at Eof");
+      // EOF barrier: the lane that folds this stream's last record wakes
+      // the loop, which then sends the receipt (poll_receipt).
+      receipt_deadline_ = Clock::now() + kReceiptDeadline;
+      digest_->notify_at(static_cast<std::size_t>(stream_seq_),
+                         [&server = server_] { server.wake(); });
+      return;
     }
     case MsgType::kPing: {
       auto token = decode_token(msg.payload);
-      if (!token) {
-        abort_session("malformed Ping");
-        return false;
-      }
+      if (!token) return abort_session("malformed Ping");
       return send_msg(MsgType::kPong, encode_token(*token));
     }
     case MsgType::kAbort:
-      server_.note_session_abort();
+      server_.aborts_total_->add();
       done_ = true;
-      return false;
+      return;
     default:
-      abort_session("unexpected message type");
-      return false;
+      return abort_session("unexpected message type");
   }
 }
 
-bool Session::drain_trace_frames() {
+void Session::drain_trace_frames() {
   while (auto outcome = trace_.poll()) {
     // The stream header always parses before the first record frame pops
     // out, so this refuses a foreign-campaign trace before any of its
     // records reaches the pipeline (or the global verdict digest).
-    if (!check_campaign()) return false;
+    if (!check_campaign()) return;
     switch (outcome->status) {
       case trace::ReadStatus::kRecord: {
         ++outcomes_;
@@ -133,11 +136,11 @@ bool Session::drain_trace_frames() {
                            packet->report, packet->delivered_by),
                        stream_seq_, obs::ProvStage::kDeliver, id_,
                        packet->marks.size());
-        if (!server_.gated_push(std::move(*packet), outcome->record.time_s(),
-                                digest_, stream_seq_)) {
-          abort_session("sink is draining");
-          return false;
-        }
+        // May block on a full lane queue: the daemon's backpressure.
+        if (!server_.pipeline_->push(std::move(*packet), outcome->record.time_s(),
+                                     digest_, stream_seq_))
+          return abort_session("sink is draining");
+        server_.records_total_->add();
         ++stream_seq_;
         break;
       }
@@ -148,19 +151,14 @@ bool Session::drain_trace_frames() {
         break;
       case trace::ReadStatus::kTruncated:
       case trace::ReadStatus::kOversized:
-        abort_session("malformed trace stream");
-        return false;
+        return abort_session("malformed trace stream");
     }
     flush_credits(false);
   }
-  if (trace_.header_failed()) {
-    abort_session("bad trace header: " + trace_.header_error());
-    return false;
-  }
+  if (trace_.header_failed())
+    return abort_session("bad trace header: " + trace_.header_error());
   // A chunk can complete the header without yielding a record yet.
-  if (!check_campaign()) return false;
-  flush_credits(true);
-  return true;
+  if (check_campaign()) flush_credits(true);
 }
 
 bool Session::check_campaign() {
@@ -182,35 +180,38 @@ void Session::flush_credits(bool force) {
   send_msg(MsgType::kCredit, encode_credit(grant));
 }
 
-bool Session::finish_and_report() {
-  // EOF barrier: every pushed record has cleared its lane and folded into
-  // this session's digest (and the global merge has it in flight or done).
-  if (!digest_->wait_for_records(static_cast<std::size_t>(stream_seq_),
-                                 std::chrono::milliseconds(60000))) {
-    obs::FlightRecorder::global().note_anomaly(
-        obs::AnomalyKind::kDigestMismatch,
-        "digest receipt timed out: stream records never settled", id_);
-    abort_session("timed out waiting for verification to settle");
-    return false;
+bool Session::tick(Clock::time_point now) {
+  if (!done_ && awaiting_receipt()) {
+    if (digest_->records() >= stream_seq_) {
+      DigestReport report;
+      report.records = digest_->records();
+      report.marks = digest_->marks();
+      report.digest_hex = digest_->digest_hex();
+      send_msg(MsgType::kDigest, encode_digest(report));
+      done_ = true;
+    } else if (now >= *receipt_deadline_) {
+      obs::FlightRecorder::global().note_anomaly(
+          obs::AnomalyKind::kDigestMismatch,
+          "digest receipt timed out: stream records never settled", id_);
+      abort_session("timed out waiting for verification to settle");
+    }
   }
-  DigestReport report;
-  report.records = digest_->records();
-  report.marks = digest_->marks();
-  report.digest_hex = digest_->digest_hex();
-  send_msg(MsgType::kDigest, encode_digest(report));
-  done_ = true;
-  return false;  // session complete; run() exits
+  if (done_ && flushed()) return true;
+  if (now < deadline()) return false;
+  if (!done_) abort_session("idle timeout");
+  return true;
 }
 
-bool Session::send_msg(MsgType type, ByteView payload) {
-  Bytes framed = encode_msg(type, payload);
-  if (sock_.send_all(framed)) return true;
-  done_ = true;
-  return false;
+Conn::Clock::time_point Session::deadline() const {
+  return !done_ && awaiting_receipt() ? *receipt_deadline_ : last_io + kIdleDeadline;
+}
+
+void Session::send_msg(MsgType type, ByteView payload) {
+  if (!send(encode_msg(type, payload))) done_ = true;  // peer gone
 }
 
 void Session::abort_session(const std::string& reason) {
-  server_.note_session_abort();
+  server_.aborts_total_->add();
   send_msg(MsgType::kAbort, encode_abort(reason));
   done_ = true;
 }

@@ -1,15 +1,13 @@
 // One client connection of the serve daemon: protocol handshake, credit
 // accounting, incremental `.pnmtrace` reassembly, and the per-stream digest
-// receipt.
+// receipt — a non-blocking state machine the daemon's poll loop drives.
 //
-// A session is a thread blocked in recv(): bytes feed a MsgParser, data
-// messages feed a trace::TraceStreamParser, and each decoded record is
-// pushed into the shared ingest pipeline tagged with this session's
-// StreamDigest and per-stream sequence number — so the client's digest folds
-// in *its* stream order no matter how the shard lanes interleave it with
-// other sessions. On Eof the session blocks on the StreamDigest's record
-// barrier (every pushed record verified and folded) and answers with the
-// Digest receipt, which must equal `pnm replay` over the same trace.
+// Bytes feed a MsgParser, data messages a trace::TraceStreamParser, and each
+// decoded record is pushed into the shared pipeline tagged with this
+// session's StreamDigest and stream sequence number, so the client's digest
+// folds in *its* stream order however the lanes interleave sessions. On Eof
+// the lane that folds the last record wakes the loop, which sends the Digest
+// receipt — equal to `pnm replay` over the same trace.
 //
 // Credits are replenished in record-frame units as outcomes complete; every
 // completed outcome counts — pushed, CRC-rejected, malformed — so client and
@@ -18,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "ingest/stream_digest.h"
@@ -29,29 +28,37 @@ namespace pnm::serve {
 
 class Server;
 
-class Session {
+/// Registered with the pipeline as a producer for its whole life.
+class Session : public Conn {
  public:
   Session(Socket sock, Server& server, std::uint64_t id);
+  ~Session() override;
 
-  /// Blocking connection loop; returns when the peer is done or dead. Call
-  /// on a dedicated thread.
-  void run();
-
-  std::uint64_t id() const { return id_; }
+  /// Not read while the daemon rekeys (nothing may enter the pipeline),
+  /// after Eof, or while the peer has not taken what we sent.
+  short events() const override;
+  void on_bytes(ByteView data) override;
+  /// Records already pushed stay in the global digest, but the stream gets
+  /// no receipt.
+  void on_hangup() override;
+  /// Sends the receipt once every pushed record has folded, and enforces
+  /// 60 s for a receipt to settle and 60 s without I/O otherwise. A record
+  /// push may block on a full shard queue: the daemon's backpressure.
+  bool tick(Clock::time_point now) override;
+  Clock::time_point deadline() const override;
+  bool idle() const override { return !hello_done_; }
 
  private:
-  /// False = session over (clean or aborted).
-  bool handle_msg(Msg msg);
-  bool drain_trace_frames();
+  bool awaiting_receipt() const { return receipt_deadline_.has_value(); }
+  void handle_msg(Msg msg);
+  void drain_trace_frames();
   /// Once the trace header is parsed, verify (exactly once) that the stream
   /// belongs to this sink's campaign; aborts and returns false on mismatch.
   bool check_campaign();
-  bool finish_and_report();
-  bool send_msg(MsgType type, ByteView payload);
+  void send_msg(MsgType type, ByteView payload);
   void abort_session(const std::string& reason);
   void flush_credits(bool force);
 
-  Socket sock_;
   Server& server_;
   std::uint64_t id_;
   MsgParser msgs_;
@@ -64,6 +71,7 @@ class Session {
   bool hello_done_ = false;
   bool header_checked_ = false;
   bool done_ = false;
+  std::optional<Clock::time_point> receipt_deadline_;
   std::uint64_t stream_seq_ = 0;     ///< records pushed (the digest's domain)
   std::uint64_t outcomes_ = 0;       ///< completed record-frame outcomes
   std::uint64_t credits_owed_ = 0;   ///< outcomes not yet replenished

@@ -9,6 +9,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 namespace pnm::serve {
 
@@ -29,6 +30,28 @@ bool fill_unix_addr(const std::string& path, sockaddr_un* addr, std::string* err
   return true;
 }
 
+/// A fresh stream socket connected to `addr` (backlog 0), or non-blocking,
+/// bound there and listening. Invalid (and *error) on failure.
+Socket open_socket(int family, int backlog, const sockaddr* addr, socklen_t len,
+                   std::string* error) {
+  Socket sock(::socket(family, SOCK_STREAM | (backlog ? SOCK_NONBLOCK | SOCK_CLOEXEC : 0), 0));
+  int one = 1;
+  if (sock.valid() && backlog && family == AF_INET)
+    ::setsockopt(sock.fd(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  const char* failed = nullptr;
+  if (!sock.valid())
+    failed = "socket";
+  else if (!backlog)
+    failed = ::connect(sock.fd(), addr, len) != 0 ? "connect" : nullptr;
+  else if (::bind(sock.fd(), addr, len) != 0)
+    failed = "bind";
+  else if (::listen(sock.fd(), backlog) != 0)
+    failed = "listen";
+  if (!failed) return sock;
+  if (error) *error = errno_string(failed);
+  return Socket();
+}
+
 }  // namespace
 
 Socket& Socket::operator=(Socket&& other) noexcept {
@@ -42,43 +65,22 @@ Socket& Socket::operator=(Socket&& other) noexcept {
 
 Socket Socket::connect_tcp(const std::string& host, std::uint16_t port,
                            std::string* error) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error) *error = errno_string("socket");
-    return Socket();
-  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     if (error) *error = "bad host address: " + host;
-    ::close(fd);
     return Socket();
   }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (error) *error = errno_string("connect");
-    ::close(fd);
-    return Socket();
-  }
-  Socket s(fd);
-  s.set_nodelay();
+  Socket s = open_socket(AF_INET, 0, reinterpret_cast<sockaddr*>(&addr), sizeof(addr), error);
+  if (s.valid()) s.set_nodelay();
   return s;
 }
 
 Socket Socket::connect_unix(const std::string& path, std::string* error) {
   sockaddr_un addr;
   if (!fill_unix_addr(path, &addr, error)) return Socket();
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error) *error = errno_string("socket");
-    return Socket();
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (error) *error = errno_string("connect");
-    ::close(fd);
-    return Socket();
-  }
-  return Socket(fd);
+  return open_socket(AF_UNIX, 0, reinterpret_cast<sockaddr*>(&addr), sizeof(addr), error);
 }
 
 void Socket::set_nodelay() {
@@ -130,55 +132,39 @@ void Socket::close() {
   }
 }
 
-Listener::Listener(Listener&& other) noexcept
-    : fd_(other.fd_.exchange(-1, std::memory_order_acq_rel)),
-      port_(other.port_),
-      unlink_path_(std::move(other.unlink_path_)) {
-  other.unlink_path_.clear();
+bool Conn::send(ByteView data) {
+  out_.insert(out_.end(), data.begin(), data.end());
+  return flush();
 }
 
-Listener& Listener::operator=(Listener&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_.store(other.fd_.exchange(-1, std::memory_order_acq_rel),
-              std::memory_order_release);
-    port_ = other.port_;
-    unlink_path_ = std::move(other.unlink_path_);
-    other.unlink_path_.clear();
+bool Conn::flush() {
+  while (!flushed()) {
+    ssize_t n = ::send(fd(), out_.data() + out_head_, out_.size() - out_head_,
+                       MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+    if (n < 0) break;  // peer gone: nothing queued can be delivered
+    out_head_ += static_cast<std::size_t>(n);
+    last_io = Clock::now();
   }
-  return *this;
+  bool ok = flushed();
+  out_.clear();
+  out_head_ = 0;
+  return ok;
 }
 
 Listener Listener::tcp(std::uint16_t port, std::string* error) {
   Listener l;
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error) *error = errno_string("socket");
-    return l;
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (error) *error = errno_string("bind");
-    ::close(fd);
-    return l;
-  }
-  if (::listen(fd, 64) != 0) {
-    if (error) *error = errno_string("listen");
-    ::close(fd);
-    return l;
-  }
+  l.sock_ = open_socket(AF_INET, 64, reinterpret_cast<sockaddr*>(&addr), sizeof(addr), error);
   socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+  if (l.valid() && ::getsockname(l.fd(), reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
     if (error) *error = errno_string("getsockname");
-    ::close(fd);
-    return l;
+    l.sock_.close();
   }
-  l.fd_ = fd;
   l.port_ = ntohs(addr.sin_port);
   return l;
 }
@@ -188,53 +174,24 @@ Listener Listener::unix_path(const std::string& path, std::string* error) {
   sockaddr_un addr;
   if (!fill_unix_addr(path, &addr, error)) return l;
   ::unlink(path.c_str());  // stale socket from a previous run
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error) *error = errno_string("socket");
-    return l;
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (error) *error = errno_string("bind");
-    ::close(fd);
-    return l;
-  }
-  if (::listen(fd, 64) != 0) {
-    if (error) *error = errno_string("listen");
-    ::close(fd);
-    return l;
-  }
-  l.fd_ = fd;
-  l.unlink_path_ = path;
+  l.sock_ = open_socket(AF_UNIX, 64, reinterpret_cast<sockaddr*>(&addr), sizeof(addr), error);
+  if (l.valid()) l.unlink_path_ = path;
   return l;
 }
 
-Socket Listener::accept_conn() {
+Socket Listener::accept_conn(int* err) {
   while (true) {
-    int listen_fd = fd_.load(std::memory_order_acquire);
-    if (listen_fd < 0) break;
-    int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd >= 0) return Socket(fd);
-    if (errno == EINTR) continue;
-    break;  // EINVAL after shutdown_accept(), or a real error: stop accepting
+    int fd = ::accept4(sock_.fd(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0 || errno != EINTR) {
+      *err = fd >= 0 || errno == EAGAIN || errno == EWOULDBLOCK ? 0 : errno;
+      return Socket(fd);
+    }
   }
-  return Socket();
-}
-
-void Listener::shutdown_accept() {
-  int fd = fd_.load(std::memory_order_acquire);
-  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
 void Listener::close() {
-  int fd = fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  if (!unlink_path_.empty()) {
-    ::unlink(unlink_path_.c_str());
-    unlink_path_.clear();
-  }
+  sock_.close();
+  if (!unlink_path_.empty()) ::unlink(std::exchange(unlink_path_, {}).c_str());
 }
 
 }  // namespace pnm::serve

@@ -1,18 +1,19 @@
 // Thin RAII wrappers over POSIX stream sockets (TCP loopback-or-any and
-// AF_UNIX) — just enough for the serve daemon and its load generator:
-// blocking accept/connect/send/recv, a non-blocking drain for the client's
-// opportunistic credit reads, and listener shutdown that reliably unblocks a
-// blocked accept() (shutdown(SHUT_RDWR) on the listening fd, which Linux
-// surfaces as EINVAL to the accepter).
+// AF_UNIX) — just enough for the serve daemon and its load generator.
+//
+// The client half (Socket) blocks, with a non-blocking read for opportunistic
+// credit reads. The server half (Listener, Conn) never blocks: one poll loop
+// thread owns every daemon fd.
 //
 // Error reporting is by out-parameter string, never exceptions: socket
 // failures are expected operational events (port in use, peer reset) the
 // daemon logs and survives.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "util/bytes.h"
 
@@ -59,41 +60,70 @@ class Socket {
   int fd_ = -1;
 };
 
-/// A listening socket (TCP on 127.0.0.1:<port> with port 0 = ephemeral, or
-/// AF_UNIX at a path). shutdown_accept() unblocks any accept() in flight
-/// without releasing the descriptor; close() may only run once no thread is
-/// inside accept_conn() (it releases the fd number for reuse). The unix
-/// variant unlinks its path on close.
+/// One accepted connection as the poll loop drives it: a non-blocking
+/// socket, the bytes the peer has not taken yet, and a state machine.
+class Conn {
+ public:
+  using Clock = std::chrono::steady_clock;
+  explicit Conn(Socket sock) : sock_(std::move(sock)) { sock_.set_nodelay(); }
+  virtual ~Conn() = default;
+
+  /// Poll interest now; -1 = leave the fd out of this poll.
+  virtual short events() const = 0;
+  /// Bytes the peer sent.
+  virtual void on_bytes(ByteView data) = 0;
+  /// The peer closed or failed (or the daemon is closing the connection).
+  virtual void on_hangup() = 0;
+  /// Completions and deadlines; true = close the connection now.
+  virtual bool tick(Clock::time_point now) = 0;
+  /// When tick() next has work (Clock::time_point{} = at once).
+  virtual Clock::time_point deadline() const = 0;
+  /// Owes nothing and is owed nothing: a drain closes it at once.
+  virtual bool idle() const = 0;
+
+  int fd() const { return sock_.fd(); }
+  /// Non-blocking read: >0 bytes read, 0 = peer closed, -1 = nothing yet,
+  /// -2 = error.
+  long read(void* buf, std::size_t cap) { return sock_.recv_nonblocking(buf, cap); }
+  /// Queue `data` and write as much as the socket takes now. False once the
+  /// peer is gone.
+  bool send(ByteView data);
+  /// Write queued bytes until done or the socket is full. False once the
+  /// peer is gone; the queue is then dropped.
+  bool flush();
+  bool flushed() const { return out_head_ == out_.size(); }
+
+  /// Last time bytes moved in either direction (the idle deadlines).
+  Clock::time_point last_io = Clock::now();
+
+ private:
+  Socket sock_;
+  Bytes out_;
+  std::size_t out_head_ = 0;
+};
+
+/// A non-blocking listening socket: TCP on 127.0.0.1:<port> (port 0 =
+/// ephemeral) or AF_UNIX at a path, which close() unlinks.
 class Listener {
  public:
-  Listener() = default;
-  ~Listener() { close(); }
-  Listener(Listener&& other) noexcept;
-  Listener& operator=(Listener&& other) noexcept;
-  Listener(const Listener&) = delete;
-  Listener& operator=(const Listener&) = delete;
-
   static Listener tcp(std::uint16_t port, std::string* error);
   static Listener unix_path(const std::string& path, std::string* error);
 
-  bool valid() const { return fd_.load(std::memory_order_acquire) >= 0; }
+  bool valid() const { return sock_.valid(); }
+  int fd() const { return sock_.fd(); }
   /// Bound TCP port (after tcp() with port 0 resolves the ephemeral bind).
   std::uint16_t port() const { return port_; }
 
-  /// Blocking accept. Returns an invalid Socket once the listener is shut
-  /// down or on a non-transient error.
-  Socket accept_conn();
-
-  /// Unblock any concurrent accept_conn() (Linux surfaces the shutdown as
-  /// EINVAL to the accepter). Keeps the fd alive so a thread mid-accept can
-  /// never observe its number recycled onto an unrelated socket; pair with
-  /// close() after the accept threads are joined.
-  void shutdown_accept();
+  /// Accept one pending connection as a non-blocking socket. An invalid
+  /// Socket means none was accepted: *err is 0 when the backlog is empty,
+  /// else the accept errno (ECONNABORTED, EMFILE, ...), which leaves the
+  /// listener usable.
+  Socket accept_conn(int* err);
 
   void close();
 
  private:
-  std::atomic<int> fd_{-1};
+  Socket sock_;
   std::uint16_t port_ = 0;
   std::string unlink_path_;
 };

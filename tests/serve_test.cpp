@@ -9,11 +9,16 @@
 //   - sessions for a different campaign are refused at the handshake.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <optional>
@@ -404,6 +409,254 @@ TEST(Serve, SpansEndpointExposesTraceRing) {
   server->drain();
   spans.disable();
   spans.clear();
+}
+
+// ---------------------------------------------------------------------------
+// Resource bounds: requests and sessions leave no threads or stack mappings
+// behind, idle or half-open clients neither delay other clients nor hold up
+// drain and ~Server, and the connection cap and accept-error handling follow
+// the process's descriptor limit.
+
+/// A numeric field of /proc/self/status ("VmSize" in kB, "Threads").
+std::uint64_t self_status(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.compare(0, field.size() + 1, field + ":") == 0)
+      return std::strtoull(line.c_str() + field.size() + 1, nullptr, 10);
+  return 0;
+}
+
+std::uint64_t metric(serve::Server& server, const std::string& name) {
+  return server.counters()->registry().counter(name).value();
+}
+
+std::int64_t open_connections(serve::Server& server) {
+  return server.counters()->registry().gauge("serve_connections").value();
+}
+
+/// Wait (up to `limit`) for `done`; true if it came true.
+template <typename Pred>
+bool eventually(Pred done, std::chrono::milliseconds limit = std::chrono::seconds(5)) {
+  auto until = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Drain and destroy `server` on a helper thread and report whether that
+/// finished within `limit`. If it did not, `unblock` runs (closing the
+/// clients that hold the daemon up) so the helper can still be joined and
+/// the test fails instead of hanging.
+template <typename Unblock>
+bool drained_and_destroyed_within(std::unique_ptr<serve::Server> server,
+                                  std::chrono::milliseconds limit, Unblock unblock) {
+  std::atomic<bool> finished{false};
+  std::thread teardown([&] {
+    server->drain();
+    server.reset();
+    finished.store(true);
+  });
+  bool in_time = eventually([&] { return finished.load(); }, limit);
+  if (!in_time) unblock();
+  teardown.join();
+  return in_time;
+}
+
+Bytes framed(serve::MsgType type, ByteView payload) {
+  return serve::encode_msg(type, payload);
+}
+
+serve::Socket connect_or_fail(std::uint16_t port) {
+  std::string error;
+  serve::Socket sock = serve::Socket::connect_tcp("127.0.0.1", port, &error);
+  EXPECT_TRUE(sock.valid()) << error;
+  return sock;
+}
+
+/// Bound every blocking read on `sock` to 5 s.
+void recv_timeout(serve::Socket& sock) {
+  timeval tv{};
+  tv.tv_sec = 5;
+  ::setsockopt(sock.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
+
+/// Read one protocol message from a client socket.
+std::optional<serve::Msg> read_msg(serve::Socket& sock) {
+  recv_timeout(sock);
+  serve::MsgParser parser;
+  std::uint8_t buf[4096];
+  while (true) {
+    if (auto msg = parser.poll()) return msg;
+    long n = sock.recv_some(buf, sizeof(buf));
+    if (n <= 0) return std::nullopt;
+    parser.feed(ByteView(buf, static_cast<std::size_t>(n)));
+  }
+}
+
+TEST(Serve, ThreadsAndVmSizeStayFlatAcrossAdminAndSessionChurn) {
+  const auto& fx = serve_fixture();
+  serve::ServerConfig cfg;
+  cfg.shards = 2;
+  auto server = make_server(cfg);
+  ASSERT_NE(server, nullptr);
+  serve::LoadgenConfig lg;
+  lg.port = server->tcp_port();
+  lg.traces = {fx.trace_a, fx.trace_b};
+  lg.connections = 2;
+  // Warm-up: the client threads' malloc arenas and cached stacks are the
+  // test process's, not the daemon's; let them exist before the baseline.
+  ASSERT_TRUE(serve::run_loadgen(lg).ok);
+  admin_http_get(server->admin_port(), "/healthz");
+  const std::uint64_t threads0 = self_status("Threads");
+  const std::uint64_t vm0_kb = self_status("VmSize");
+
+  for (int i = 0; i < 300; ++i) {
+    std::string r = admin_http_get(server->admin_port(), "/healthz");
+    ASSERT_NE(r.find("200 OK"), std::string::npos) << r;
+  }
+  lg.repeat = 50;  // 100 sessions
+  serve::LoadgenStats stats = serve::run_loadgen(lg);
+  ASSERT_TRUE(stats.ok) << stats.error;
+  ASSERT_EQ(stats.sessions, 100u);
+
+  EXPECT_EQ(self_status("Threads"), threads0);
+  const double growth_mb =
+      (static_cast<double>(self_status("VmSize")) - static_cast<double>(vm0_kb)) / 1024.0;
+  EXPECT_LT(growth_mb, 64.0);
+  EXPECT_TRUE(eventually([&] { return open_connections(*server) == 0; }));
+  EXPECT_EQ(server->drain().sessions, 102u);
+}
+
+TEST(Serve, HealthzAnswersPromptlyBesideIdleAdminClients) {
+  auto server = make_server({});
+  ASSERT_NE(server, nullptr);
+  std::vector<serve::Socket> idle;
+  for (int i = 0; i < 50; ++i) idle.push_back(connect_or_fail(server->admin_port()));
+
+  auto t0 = std::chrono::steady_clock::now();
+  std::string r = admin_http_get(server->admin_port(), "/healthz");
+  auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_NE(r.find("200 OK"), std::string::npos) << r;
+  EXPECT_LT(took, std::chrono::seconds(1));
+
+  // The idle clients never send a byte; they must not hold the daemon up.
+  EXPECT_TRUE(drained_and_destroyed_within(std::move(server), std::chrono::seconds(5),
+                                           [&] { idle.clear(); }));
+}
+
+TEST(Serve, DrainIsPromptWithIdleAndHalfOpenClientsAttached) {
+  auto server = make_server({});
+  ASSERT_NE(server, nullptr);
+  // An admin client that never sends its request, a session that never
+  // sends Hello, and one that stops half way through its Hello frame.
+  serve::Socket admin = connect_or_fail(server->admin_port());
+  serve::Socket silent = connect_or_fail(server->tcp_port());
+  serve::Socket half = connect_or_fail(server->tcp_port());
+  serve::Hello hello;
+  hello.campaign_id = server->campaign_id();
+  Bytes msg = framed(serve::MsgType::kHello, serve::encode_hello(hello));
+  ASSERT_TRUE(half.send_all(ByteView(msg.data(), msg.size() / 2)));
+  ASSERT_TRUE(eventually([&] { return open_connections(*server) == 3; }));
+
+  EXPECT_TRUE(drained_and_destroyed_within(std::move(server), std::chrono::seconds(5), [&] {
+    admin.close();
+    silent.close();
+    half.close();
+  }));
+}
+
+/// Lowers this process's own RLIMIT_NOFILE soft limit for one scope.
+class ScopedFdLimit {
+ public:
+  explicit ScopedFdLimit(rlim_t soft) {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    ok_ = ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~ScopedFdLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool ok_ = false;
+};
+
+TEST(Serve, ConnectionsOverTheFdDerivedCapAreRefused) {
+  // The cap is the soft RLIMIT_NOFILE minus a 64-fd reserve: 3 here.
+  ScopedFdLimit limit(64 + 3);
+  ASSERT_TRUE(limit.ok());
+  auto server = make_server({});
+  ASSERT_NE(server, nullptr);
+  std::vector<serve::Socket> held;
+  for (int i = 0; i < 3; ++i) held.push_back(connect_or_fail(server->tcp_port()));
+  ASSERT_TRUE(eventually([&] { return open_connections(*server) == 3; }));
+
+  serve::Socket over = connect_or_fail(server->tcp_port());
+  std::optional<serve::Msg> refusal = read_msg(over);
+  ASSERT_TRUE(refusal.has_value());
+  ASSERT_EQ(refusal->type, serve::MsgType::kAbort);
+  EXPECT_EQ(serve::decode_abort(refusal->payload).value_or(""), "connection limit");
+  serve::Socket admin = connect_or_fail(server->admin_port());
+  recv_timeout(admin);
+  std::string admin_refusal;
+  char buf[512];
+  for (long n; (n = admin.recv_some(buf, sizeof(buf))) > 0;)
+    admin_refusal.append(buf, static_cast<std::size_t>(n));
+  EXPECT_EQ(admin_refusal.rfind("HTTP/1.0 503", 0), 0u) << admin_refusal;
+
+  // A slot frees up: the next session is served in full.
+  held.pop_back();
+  ASSERT_TRUE(eventually([&] { return open_connections(*server) == 2; }));
+  serve::LoadgenConfig lg;
+  lg.port = server->tcp_port();
+  lg.traces = {serve_fixture().trace_a};
+  serve::LoadgenStats stats = serve::run_loadgen(lg);
+  ASSERT_TRUE(stats.ok) << stats.error;
+  EXPECT_EQ(stats.session_results[0].digest_hex, serve_fixture().replay_a.verdict_digest);
+  held.clear();
+  server->drain();
+}
+
+TEST(Serve, AcceptSurvivesFdExhaustion) {
+  ScopedFdLimit limit(64 + 16);
+  ASSERT_TRUE(limit.ok());
+  auto server = make_server({});
+  ASSERT_NE(server, nullptr);
+
+  // Use up every descriptor but one, connect with that one: the daemon's
+  // accept() now fails with EMFILE while the connection waits in the
+  // backlog.
+  std::vector<int> filler;
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) filler.push_back(fd);
+  ASSERT_FALSE(filler.empty());
+  ::close(filler.back());
+  filler.pop_back();
+  serve::Socket client = connect_or_fail(server->tcp_port());
+  EXPECT_TRUE(eventually([&] { return metric(*server, "serve_accept_errors") > 0; }));
+
+  // Pressure clears: the waiting client is accepted and handshakes.
+  for (int fd : filler) ::close(fd);
+  serve::Hello hello;
+  hello.campaign_id = server->campaign_id();
+  Bytes msg = framed(serve::MsgType::kHello, serve::encode_hello(hello));
+  ASSERT_TRUE(client.send_all(ByteView(msg.data(), msg.size())));
+  std::optional<serve::Msg> ack = read_msg(client);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->type, serve::MsgType::kHelloAck);
+
+  // And a fresh session still gets its replay-identical receipt.
+  serve::LoadgenConfig lg;
+  lg.port = server->tcp_port();
+  lg.traces = {serve_fixture().trace_a};
+  serve::LoadgenStats stats = serve::run_loadgen(lg);
+  ASSERT_TRUE(stats.ok) << stats.error;
+  EXPECT_EQ(stats.session_results[0].digest_hex, serve_fixture().replay_a.verdict_digest);
+  client.close();
+  server->drain();
 }
 
 }  // namespace
