@@ -172,7 +172,9 @@ void BM_ReplayPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplayPipeline)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-// The §7 production path: topology-scoped ring search, O(degree) per mark.
+// The §7 production path: topology-scoped ring search. On this 10-hop
+// all-distinct trace consecutive marks are a few hops apart, so each mark
+// costs a few rings of one or two new nodes each.
 // This is the configuration the ≥100k records/s acceptance bar targets
 // (`pnm replay --scoped 1`); exhaustive above is the all-schemes fallback.
 // Swept over the same {1,2,4,8} arg set as BM_ReplayPipeline so

@@ -8,13 +8,14 @@
 //                          was an Athlon 1.6 GHz);
 //   BM_AnonTableBuild    — per-report table construction vs network size;
 //   BM_VerifyPacketPnm   — full packet verification (table + backward pass);
-//   BM_ScopedLookup      — the §7 O(d) topology-scoped alternative;
+//   BM_ScopedLookup      — the §7 one-hop topology-scoped lookup;
 //   BM_VerifyPacketNested— plaintext nested verification for contrast;
 //   BM_BatchVerify       — the batch engine, serial (1 thread) vs N-thread
 //                          sweep over one fixed workload (pkts_per_s is the
 //                          scaling axis; threads=1 is the serial baseline);
-//   BM_BatchVerifyScoped — same sweep through the §7 scoped search with the
-//                          sharded PRF memo cache;
+//   BM_BatchVerifyScoped — same sweep through the §7 scoped search;
+//   BM_BatchVerifyScopedDeep — the §7 search on the sinkbench deep-scoped
+//                          shape (300 hops, 64 flows x 4 deliveries);
 //   BM_CrossPacketVerify — the cross-packet batch planner (--pack-mode=cross,
 //                          the default) vs the per-packet baseline on a
 //                          duplicate-heavy 64-flow batch: flows re-deliver
@@ -246,6 +247,50 @@ void BM_BatchVerifyScoped(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BatchVerifyScoped)->Arg(1)->Arg(4)->Arg(8)->UseRealTime();
+
+// The sinkbench `deep-scoped` shape: a 300-hop chain, 64 flows whose report
+// is delivered 4x back to back (256 packets, each marked afresh), ~3 marks
+// per packet. Marks sit ~100 hops apart, so the §7 search walks ~100 rings
+// per mark and duplicate deliveries share their PRFs through the planner's
+// memo — the regime BM_BatchVerifyScoped's 20-hop all-distinct batch never
+// reaches.
+void BM_BatchVerifyScopedDeep(benchmark::State& state) {
+  std::size_t threads = static_cast<std::size_t>(state.range(0));
+  std::size_t hops = 300, flows = 64, deliveries = 4;
+  pnm::net::Topology topo = pnm::net::Topology::chain(hops);
+  pnm::crypto::KeyStore keys(master(), topo.node_count());
+  pnm::marking::SchemeConfig cfg;
+  cfg.mark_probability = 3.0 / static_cast<double>(hops);
+  auto scheme = pnm::marking::make_scheme(pnm::marking::SchemeKind::kPnm, cfg);
+  pnm::Rng rng(9001);
+  std::vector<pnm::net::Packet> workload;
+  for (std::size_t n = 0; n < flows * deliveries; ++n) {
+    auto flow = static_cast<std::uint32_t>(n / deliveries);
+    pnm::net::Packet p;
+    p.report = pnm::net::Report{flow, 3, 3, flow}.encode();
+    for (std::size_t h = hops; h >= 1; --h) {
+      auto v = static_cast<pnm::NodeId>(h);
+      scheme->mark(p, v, keys.key_unchecked(v), rng);
+    }
+    p.delivered_by = 1;
+    workload.push_back(std::move(p));
+  }
+
+  pnm::sink::BatchVerifierConfig bcfg;
+  bcfg.threads = threads;
+  bcfg.strategy = pnm::sink::BatchStrategy::kScoped;
+  pnm::sink::BatchVerifier engine(*scheme, keys, bcfg, &topo);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.verify_batch(workload));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * workload.size()));
+  state.counters["threads"] = static_cast<double>(threads);
+  state.counters["pkts_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * workload.size()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_BatchVerifyScopedDeep)->Arg(1)->Arg(4)->UseRealTime();
 
 // Duplicate-heavy flow traffic: `packets` deliveries spread over `flows`
 // distinct reports. Re-delivered flows are exactly what the cross-packet

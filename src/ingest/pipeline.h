@@ -10,8 +10,8 @@
 // ShardRouter hashes each record's flow identity (claimed origin location +
 // previous hop) to a lane, and every push is stamped with a global arrival
 // sequence number. Each lane independently drains FIFO batches through its
-// own sink::BatchVerifier handle (private PrfCache — flow affinity keeps a
-// flow's PRF probes hot in one cache) and pre-serializes each record's
+// own sink::BatchVerifier handle (flow affinity keeps a flow's duplicate
+// deliveries in one lane's batches) and pre-serializes each record's
 // digest fingerprint; the TracebackMerger then applies entries strictly in
 // sequence order, so the SHA-256 verdict digest and the TracebackEngine
 // state are byte-identical to the single-consumer serial pipeline for every

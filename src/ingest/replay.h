@@ -21,8 +21,8 @@ struct ReplayOptions {
   /// BatchVerifier worker threads *per shard lane*; 1 = serial reference
   /// path, 0 = hardware.
   std::size_t threads = 1;
-  /// Flow-affine ingest shard lanes, each with its own verifier handle and
-  /// PrfCache. 1 = the single-consumer reference pipeline. The verdict
+  /// Flow-affine ingest shard lanes, each with its own verifier handle.
+  /// 1 = the single-consumer reference pipeline. The verdict
   /// digest and accusation set are shard-count invariant.
   std::size_t shards = 1;
   /// Use the §7 topology-scoped ring search instead of the exhaustive

@@ -3,9 +3,9 @@
 // The sink identifies a traffic flow by what it can actually see — the
 // report's claimed origin location (L of M = E|L|T) and the radio-layer
 // previous hop that delivered it. A mole floods from one place through one
-// last hop, so every record of one flow hashes to the same shard: its PRF
-// probes keep hitting the same per-shard PrfCache, and its verdicts stay in
-// one lane's arrival order. Records whose report bytes fail to decode (bit
+// last hop, so every record of one flow hashes to the same shard: its
+// duplicate deliveries share one lane's verify batches (and so the planner's
+// report dedup), and its verdicts stay in one lane's arrival order. Records whose report bytes fail to decode (bit
 // rot that slipped past CRC) fall back to hashing the raw report bytes, so
 // routing is total and deterministic either way.
 //

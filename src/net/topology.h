@@ -44,7 +44,8 @@ class Topology {
   std::vector<NodeId> closed_neighborhood(NodeId id) const;
 
   /// All nodes within `k` hops of `id`, including `id` (k = 0 -> {id}).
-  /// Used by the §7 scoped anonymous-ID search with expanding rings.
+  /// A whole-ball BFS per call: the test oracle for sink::RingShells, which
+  /// the §7 scoped search uses to grow its rings incrementally.
   std::vector<NodeId> k_hop_neighborhood(NodeId id, std::size_t k) const;
 
   // ---- generators ----

@@ -115,7 +115,7 @@ class Server {
   /// Quiesce, advance the VerifierBank to the next key epoch, resume.
   /// Returns the new epoch, or nullopt if the pipeline failed to quiesce
   /// within the grace period — in that case the keys are left untouched
-  /// (swapping under live lanes would race their PRF caches) and the caller
+  /// (swapping under live lanes would split a batch across epochs) and the caller
   /// may retry. Calls that overlap share one swap.
   std::optional<std::uint64_t> rekey();
 

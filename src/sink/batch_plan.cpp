@@ -206,240 +206,200 @@ void plan_verify_exhaustive(const marking::SchemeConfig& cfg,
 namespace {
 
 /// One packet's ring-search state machine. Each wavefront round advances
-/// every in-flight lane by exactly one ring step, so the per-lane sequence of
-/// (mark, ring) probes — and therefore the verdict — is identical to running
-/// scoped_verify_pnm on that packet alone.
+/// every in-flight lane by exactly one ring shell, so a lane's sequence of
+/// (mark, ring) probes — and therefore its verdict — does not depend on
+/// which other packets share the call.
 struct ScopedLane {
   const net::Packet* p = nullptr;
   marking::VerifyResult* out = nullptr;
-  std::uint64_t rkey = 0;
-  NodeId anchor = kSinkId;
-  std::size_t j = 0;     ///< mark currently being resolved
-  std::size_t ring = 1;  ///< next ring to probe for mark j
-  std::vector<NodeId> tried;
+  std::uint32_t report = 0;  ///< memo key: index of the packet's distinct report
+  std::size_t j = 0;         ///< mark currently being resolved
+  std::size_t ring = 0;      ///< rings probed so far for mark j
+  RingShells shells;
   Bytes input;  ///< nested_mac_input for mark j
-  bool active = false;
 
-  // Round scratch.
-  std::vector<NodeId> ball;
-  std::vector<NodeId> eligible;
-  std::vector<Bytes> anons;
-  std::vector<std::uint8_t> was_hit;
-  std::vector<std::uint32_t> miss_group, miss_pos;  ///< per miss: sweep slot
-  bool grew = false;
+  // This round's shell: eligible candidates in walk order, their memo slots
+  // and whether this lane's probe inserted them (a contiguous slot run from
+  // first_miss), plus where the lane's MAC jobs start.
+  std::vector<NodeId> cands;
+  std::vector<std::uint32_t> slots;
+  std::vector<std::uint8_t> fresh;
+  std::vector<NodeId> misses;
+  std::uint32_t first_miss = 0;
+  std::size_t mac_begin = 0;
 };
 
-/// Mark `lane`'s current mark unresolved: truncate the chain and retire it.
-void truncate_lane(ScopedLane& lane) {
-  lane.out->invalid_marks = lane.j + 1;
-  lane.out->truncated_by_invalid = true;
-  lane.active = false;
-}
-
-/// Point `lane` at mark j (ring 1, nothing tried). A malformed identity
-/// field can never resolve, so it truncates immediately — same as the serial
-/// loop falling through its candidate search.
-void start_mark(ScopedLane& lane, std::size_t j, std::size_t anon_len) {
+/// Point `lane` at mark j, searching outward from `anchor`. A malformed
+/// identity field can never resolve, so it truncates at once — same as the
+/// search falling through every ring. Returns whether the lane is in flight.
+bool start_mark(ScopedLane& lane, std::size_t j, NodeId anchor, const net::Topology& topo,
+                std::size_t anon_len) {
   lane.j = j;
-  lane.ring = 1;
-  lane.tried.clear();
+  lane.ring = 0;
   const net::Mark& m = lane.p->marks[j];
   if (m.id_field.size() != anon_len) {
-    truncate_lane(lane);
-    return;
+    lane.out->invalid_marks = j + 1;
+    lane.out->truncated_by_invalid = true;
+    return false;
   }
+  lane.shells.start(topo, anchor);
   lane.input = marking::nested_mac_input(*lane.p, j, m.id_field);
+  return true;
 }
+
+struct ScopedScratch {
+  std::vector<ScopedLane> lanes;
+  std::vector<std::uint32_t> live;  ///< in-flight lane indices, ascending
+  std::unordered_map<std::string_view, std::uint32_t> report_of;
+  AnonMemo memo;
+  std::vector<crypto::AnonIdSweepJob> sweep;
+  std::vector<crypto::HmacBatchJob> mac_jobs;
+  std::vector<crypto::Sha256Digest> mac_out;
+};
 
 }  // namespace
 
 void plan_verify_scoped(const marking::SchemeConfig& cfg, const crypto::KeyStore& keys,
                         const net::Topology& topo,
                         std::span<const net::Packet> packets,
-                        marking::VerifyResult* results, crypto::PrfCache* cache,
-                        util::Counters& metrics, obs::Counter* reports_deduped) {
+                        marking::VerifyResult* results, util::Counters& metrics,
+                        obs::Counter* reports_deduped, ScopedVerifyStats* stats) {
+  // Reused across calls on this thread: buffers keep their capacity and the
+  // memo resets in O(1), so a call allocates little beyond its MAC inputs.
+  thread_local ScopedScratch s;
   const std::size_t n = packets.size();
-  const std::size_t ring_bound = topo.node_count();
+  const std::size_t anon_len = cfg.anon_len;
+  const std::size_t ring_bound = topo.node_count();  // the diameter bounds honest gaps
+  ScopedVerifyStats local;
+  if (s.lanes.size() < n) s.lanes.resize(n);
+  s.live.clear();
+  s.report_of.clear();
+  s.memo.reset(anon_len);
 
-  std::vector<ScopedLane> lanes(n);
-  std::unordered_map<std::string_view, std::size_t> seen_reports;
   std::uint64_t deduped = 0;
-  std::size_t in_flight = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const net::Packet& p = packets[i];
-    ScopedLane& lane = lanes[i];
     metrics.add(util::Metric::kPacketsVerified);
     results[i] = marking::VerifyResult{};
     results[i].total_marks = p.marks.size();
     if (p.marks.empty()) continue;
-    if (!seen_reports.try_emplace(report_view(p), i).second) ++deduped;
+    auto [it, inserted] = s.report_of.try_emplace(
+        report_view(p), static_cast<std::uint32_t>(s.report_of.size()));
+    if (!inserted) ++deduped;
+    ScopedLane& lane = s.lanes[i];
     lane.p = &p;
     lane.out = &results[i];
-    lane.rkey = cache != nullptr ? crypto::PrfCache::report_key(p.report) : 0;
-    lane.anchor = (p.delivered_by != kInvalidNode && p.delivered_by < topo.node_count())
-                      ? p.delivered_by
-                      : kSinkId;
-    lane.active = true;
-    start_mark(lane, p.marks.size() - 1, cfg.anon_len);
-    if (lane.active) ++in_flight;
+    lane.report = it->second;
+    const NodeId anchor =
+        (p.delivered_by != kInvalidNode && p.delivered_by < topo.node_count())
+            ? p.delivered_by
+            : kSinkId;
+    if (start_mark(lane, p.marks.size() - 1, anchor, topo, anon_len))
+      s.live.push_back(static_cast<std::uint32_t>(i));
   }
   if (reports_deduped != nullptr && deduped > 0) reports_deduped->add(deduped);
 
-  // Round scratch shared across rounds: misses grouped by report content so
-  // each round's PRF work is ONE anon_id_batch_multi sweep. Dedup is by
-  // (report bytes, node) — two in-flight packets probing the same pair share
-  // a lane, which is exactly the recomputation the PrfCache would have
-  // elided had the packets run back to back.
-  struct MissGroup {
-    ByteView report;
-    std::uint64_t rkey = 0;
-    std::vector<NodeId> nodes;
-    std::unordered_map<NodeId, std::uint32_t> slot_of;
-    Bytes out;
-  };
-  std::vector<MissGroup> groups;
-  std::unordered_map<std::string_view, std::size_t> group_of;
-  std::vector<crypto::AnonIdSweepJob> sweep;
-  std::vector<crypto::HmacBatchJob> mac_jobs;
-  std::vector<crypto::Sha256Digest> mac_out;
-  std::vector<std::uint32_t> match_lane;  // per lane: first MAC lane this round
-
-  while (in_flight > 0) {
-    // Phase A: every in-flight lane grows its ring, filters eligibility, and
-    // pre-probes the cache (hits never occupy a PRF lane).
-    groups.clear();
-    group_of.clear();
-    for (ScopedLane& lane : lanes) {
-      if (!lane.active) continue;
-      lane.ball = topo.k_hop_neighborhood(lane.anchor, lane.ring);
-      lane.eligible.clear();
-      for (NodeId candidate : lane.ball) {
-        if (candidate == kSinkId || candidate >= keys.size()) continue;
-        if (std::binary_search(lane.tried.begin(), lane.tried.end(), candidate))
-          continue;
-        lane.eligible.push_back(candidate);
-      }
-      lane.grew = !lane.eligible.empty();
-      lane.anons.assign(lane.eligible.size(), Bytes());
-      lane.was_hit.assign(lane.eligible.size(), 0);
-      lane.miss_group.assign(lane.eligible.size(), 0);
-      lane.miss_pos.assign(lane.eligible.size(), 0);
-      for (std::size_t i = 0; i < lane.eligible.size(); ++i) {
-        if (cache != nullptr &&
-            cache->try_get(lane.rkey, lane.eligible[i], cfg.anon_len, &lane.anons[i])) {
-          lane.was_hit[i] = 1;
-          continue;
-        }
-        auto [git, fresh] = group_of.try_emplace(report_view(*lane.p), groups.size());
+  while (!s.live.empty()) {
+    // Phase A: every in-flight lane takes its next shell and probes the memo.
+    for (std::uint32_t li : s.live) {
+      ScopedLane& lane = s.lanes[li];
+      if (++lane.ring > 1) ++local.ring_expansions;
+      lane.cands.clear();
+      lane.slots.clear();
+      lane.fresh.clear();
+      lane.misses.clear();
+      for (NodeId c : lane.shells.next()) {
+        if (c == kSinkId || c >= keys.size()) continue;
+        bool fresh = false;
+        const std::uint32_t slot = s.memo.probe(lane.report, c, &fresh);
         if (fresh) {
-          groups.emplace_back();
-          groups.back().report = ByteView(lane.p->report.data(), lane.p->report.size());
-          groups.back().rkey = lane.rkey;
+          if (lane.misses.empty()) lane.first_miss = slot;
+          lane.misses.push_back(c);
         }
-        MissGroup& g = groups[git->second];
-        auto [sit, new_node] =
-            g.slot_of.try_emplace(lane.eligible[i],
-                                  static_cast<std::uint32_t>(g.nodes.size()));
-        if (new_node) g.nodes.push_back(lane.eligible[i]);
-        lane.miss_group[i] = static_cast<std::uint32_t>(git->second);
-        lane.miss_pos[i] = sit->second;
+        lane.cands.push_back(c);
+        lane.slots.push_back(slot);
+        lane.fresh.push_back(fresh);
       }
     }
 
-    // Phase B: ONE global PRF sweep over every group's misses, then scatter
-    // the values back to lanes and into the cache (idempotent insert).
-    if (!groups.empty()) {
-      sweep.clear();
-      for (MissGroup& g : groups) {
-        g.out.resize(g.nodes.size() * cfg.anon_len);
-        sweep.push_back({g.report, g.nodes, g.out.data()});
-      }
-      crypto::anon_id_batch_multi(keys, sweep, cfg.anon_len);
-      if (cache != nullptr) {
-        for (MissGroup& g : groups) {
-          for (std::size_t k = 0; k < g.nodes.size(); ++k) {
-            cache->insert(g.rkey, g.nodes[k], cfg.anon_len,
-                          ByteView(g.out.data() + k * cfg.anon_len, cfg.anon_len));
-          }
-        }
-      }
-      for (ScopedLane& lane : lanes) {
-        if (!lane.active) continue;
-        for (std::size_t i = 0; i < lane.eligible.size(); ++i) {
-          if (lane.was_hit[i]) continue;
-          const MissGroup& g = groups[lane.miss_group[i]];
-          const std::uint8_t* v = g.out.data() + lane.miss_pos[i] * cfg.anon_len;
-          lane.anons[i].assign(v, v + cfg.anon_len);
-        }
+    // Phase B: ONE PRF sweep over every lane's misses, written straight into
+    // the memo (its arena no longer moves: this round's probes are done).
+    s.sweep.clear();
+    for (std::uint32_t li : s.live) {
+      const ScopedLane& lane = s.lanes[li];
+      if (lane.misses.empty()) continue;
+      s.sweep.push_back({ByteView(lane.p->report.data(), lane.p->report.size()),
+                         lane.misses, s.memo.value(lane.first_miss)});
+    }
+    if (!s.sweep.empty()) crypto::anon_id_batch_multi(keys, s.sweep, anon_len);
+
+    // Phase C: ONE MAC sweep over every lane's anon-matching candidates
+    // (speculative past each lane's break point).
+    s.mac_jobs.clear();
+    for (std::uint32_t li : s.live) {
+      ScopedLane& lane = s.lanes[li];
+      lane.mac_begin = s.mac_jobs.size();
+      const std::uint8_t* id = lane.p->marks[lane.j].id_field.data();
+      for (std::size_t i = 0; i < lane.cands.size(); ++i) {
+        if (std::memcmp(s.memo.value(lane.slots[i]), id, anon_len) == 0)
+          s.mac_jobs.push_back({&keys.hmac_key(lane.cands[i]), ByteView(lane.input)});
       }
     }
+    s.mac_out.resize(s.mac_jobs.size());
+    if (!s.mac_jobs.empty()) crypto::hmac_batch(s.mac_jobs, s.mac_out.data());
 
-    // Phase C: ONE global MAC sweep over every lane's anon-matching
-    // candidates (speculative past each lane's break point, like the
-    // per-packet batched disambiguation).
-    mac_jobs.clear();
-    match_lane.assign(n, 0);
-    for (std::size_t li = 0; li < n; ++li) {
-      ScopedLane& lane = lanes[li];
-      if (!lane.active) continue;
-      match_lane[li] = static_cast<std::uint32_t>(mac_jobs.size());
-      const net::Mark& m = lane.p->marks[lane.j];
-      for (std::size_t i = 0; i < lane.eligible.size(); ++i) {
-        if (lane.anons[i] == m.id_field)
-          mac_jobs.push_back({&keys.hmac_key(lane.eligible[i]), ByteView(lane.input)});
-      }
-    }
-    mac_out.resize(mac_jobs.size());
-    if (!mac_jobs.empty()) crypto::hmac_batch(mac_jobs, mac_out.data());
-
-    // Phase D: walk each ring in ball order with the serial accounting, then
-    // advance the state machine (next ring, next mark, or done).
-    for (std::size_t li = 0; li < n; ++li) {
-      ScopedLane& lane = lanes[li];
-      if (!lane.active) continue;
+    // Phase D: walk each shell in ascending id order with the serial
+    // accounting, then advance the state machine (next ring, next mark, or
+    // done). Lanes still in flight stay in `live`, in order.
+    std::size_t kept = 0;
+    for (std::uint32_t li : s.live) {
+      ScopedLane& lane = s.lanes[li];
       const net::Mark& m = lane.p->marks[lane.j];
       NodeId resolved = kInvalidNode;
-      std::uint32_t mac_lane = match_lane[li];
-      for (std::size_t i = 0; i < lane.eligible.size(); ++i) {
-        if (cache != nullptr && lane.was_hit[i]) {
-          metrics.add(util::Metric::kCacheHits);
-        } else {
-          if (cache != nullptr) metrics.add(util::Metric::kCacheMisses);
+      std::size_t mac = lane.mac_begin;
+      for (std::size_t i = 0; i < lane.cands.size(); ++i) {
+        ++local.prf_evaluations;
+        if (lane.fresh[i]) {
+          metrics.add(util::Metric::kCacheMisses);
           metrics.add(util::Metric::kPrfEvals);
+        } else {
+          metrics.add(util::Metric::kCacheHits);
         }
-        if (lane.anons[i] != m.id_field) continue;
-        const std::uint32_t lane_idx = mac_lane++;
+        if (std::memcmp(s.memo.value(lane.slots[i]), m.id_field.data(), anon_len) != 0)
+          continue;
+        ++local.mac_checks;
         metrics.add(util::Metric::kMacChecks);
+        const crypto::Sha256Digest& d = s.mac_out[mac++];
         if (m.mac.size() >= 1 && m.mac.size() <= crypto::kSha256DigestSize &&
-            constant_time_equal(ByteView(mac_out[lane_idx].data(), m.mac.size()),
-                                m.mac)) {
-          resolved = lane.eligible[i];
+            constant_time_equal(ByteView(d.data(), m.mac.size()), m.mac)) {
+          resolved = lane.cands[i];
           break;
         }
       }
 
+      bool in_flight = false;
       if (resolved != kInvalidNode) {
         lane.out->chain.insert(lane.out->chain.begin(),
                                marking::VerifiedMark{resolved, lane.j});
-        lane.anchor = resolved;
-        if (lane.j == 0) {
-          lane.active = false;
-        } else {
-          start_mark(lane, lane.j - 1, cfg.anon_len);
-        }
+        // The next (more upstream) mark is near the node just resolved.
+        in_flight = lane.j > 0 && start_mark(lane, lane.j - 1, resolved, topo, anon_len);
+      } else if (lane.cands.empty() || lane.ring + 1 > ring_bound) {
+        // No eligible node in this shell (the component is searched out)
+        // or the diameter bound is reached: the mark cannot resolve.
+        lane.out->invalid_marks = lane.j + 1;
+        lane.out->truncated_by_invalid = true;
       } else {
-        lane.tried = std::move(lane.ball);
-        std::sort(lane.tried.begin(), lane.tried.end());
-        if (!lane.grew || lane.ring + 1 > ring_bound) {
-          // Ring stopped growing (whole component searched) or the diameter
-          // bound is exhausted: the mark cannot resolve.
-          truncate_lane(lane);
-        } else {
-          ++lane.ring;
-        }
+        in_flight = true;
       }
-      if (!lane.active) --in_flight;
+      if (in_flight) s.live[kept++] = li;
     }
+    s.live.resize(kept);
+  }
+
+  if (stats != nullptr) {
+    stats->prf_evaluations += local.prf_evaluations;
+    stats->mac_checks += local.mac_checks;
+    stats->ring_expansions += local.ring_expansions;
   }
 }
 

@@ -1,16 +1,15 @@
 // Cross-packet SIMD lane packing: the batch verification planner.
 //
 // The per-packet paths fill multi-buffer SHA lanes only from within one
-// packet — AnonIdTable runs one PRF sweep per report, scoped rings batch one
-// mark's cache misses, MAC disambiguation batches one mark's colliding
-// candidates — so the AVX2x8 engine routinely runs at occupancy 1-3. The
-// planner takes the *whole* verify_batch input and packs lanes across
-// packets instead:
+// packet — AnonIdTable runs one PRF sweep per report, MAC disambiguation
+// batches one mark's colliding candidates — so the AVX2x8 engine routinely
+// runs at occupancy 1-3. The planner takes the *whole* verify_batch input
+// and packs lanes across packets instead:
 //
 //   1. dedup   — distinct reports are identified by their full byte string;
 //                flows re-deliver the same report, so duplicate packets share
 //                one AnonIdTable instead of rebuilding it (exhaustive) and
-//                share cache entries / in-flight PRF lanes (scoped);
+//                share one memo of anonymous IDs (scoped);
 //   2. sweep   — ALL packets' PRF jobs go through one anon_id_batch_multi
 //                call and ALL packets' candidate-MAC disambiguation jobs
 //                through one hmac_batch call per round;
@@ -22,7 +21,7 @@
 // anonymous-ID PRF binds to the original report M (never to resolution
 // state) and the nested MAC input M_{j-1}|i' is a pure function of the
 // packet bytes — so hoisting changes *when* a value is computed, never
-// *what*. The candidate walk order (table order / ring ball order) and the
+// *what*. The candidate walk order (table order / ring shell order) and the
 // logical counter accounting (candidates *walked*, up to the resolving one)
 // are preserved; lanes may speculatively compute past a break point, which
 // is the same unmetered speculation the per-packet batched paths already
@@ -35,10 +34,10 @@
 #include <string_view>
 
 #include "crypto/keys.h"
-#include "crypto/prf_cache.h"
 #include "marking/scheme.h"
 #include "net/topology.h"
 #include "obs/metrics.h"
+#include "sink/scoped_verify.h"
 #include "util/counters.h"
 
 namespace pnm::sink {
@@ -84,21 +83,23 @@ void plan_verify_exhaustive(const marking::SchemeConfig& cfg,
                             marking::VerifyResult* results, util::Counters& metrics,
                             obs::Counter* reports_deduped);
 
-/// Cross-packet scoped planner: verify packets[i] into results[i] with
-/// scoped_verify_pnm semantics (§7 ring-expanding search). Packets advance
-/// as lockstep state machines — each round aggregates every in-flight ring's
-/// PRF cache misses (deduped by (report, node), mirroring what the PrfCache
-/// would have deduped serially) into one global PRF sweep and every
-/// anon-matching candidate's MAC into one global MAC sweep, then each ring
-/// walks its candidates in ball order with the serial path's accounting.
-/// Cache hit/miss counters are exact per candidate walked except where two
-/// in-flight packets probe the same (report, node) in the same round — the
-/// same "approximate while concurrent" caveat the parallel per-packet path
-/// already carries; verdicts are unaffected.
+/// Cross-packet scoped planner: verify packets[i] into results[i] with the
+/// §7 ring-expanding search (scoped_verify_pnm is this function over one
+/// packet). Packets advance as lockstep state machines, one ring shell per
+/// round: each round probes every in-flight shell against one AnonMemo for
+/// the call (keyed by distinct report and node), computes every miss in one
+/// global PRF sweep, checks every anon-matching candidate's MAC in one global
+/// MAC sweep, then walks each shell in ascending id order with the serial
+/// accounting — per candidate walked, a memo hit bumps kCacheHits, a miss
+/// bumps kCacheMisses and kPrfEvals; kMacChecks per anon match walked. A
+/// pair first probed by two packets in the same round is a miss for the
+/// first and a hit for the second. `stats` (optional) accumulates the same
+/// per-candidate accounting plus ring expansions.
 void plan_verify_scoped(const marking::SchemeConfig& cfg, const crypto::KeyStore& keys,
                         const net::Topology& topo,
                         std::span<const net::Packet> packets,
-                        marking::VerifyResult* results, crypto::PrfCache* cache,
-                        util::Counters& metrics, obs::Counter* reports_deduped);
+                        marking::VerifyResult* results, util::Counters& metrics,
+                        obs::Counter* reports_deduped,
+                        ScopedVerifyStats* stats = nullptr);
 
 }  // namespace pnm::sink

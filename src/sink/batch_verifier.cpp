@@ -23,11 +23,13 @@ std::size_t resolve_threads(std::size_t requested) {
 
 /// True when two marked packets carry the same report bytes. The planner's
 /// wins come from sharing — one AnonIdTable per distinct report
-/// (exhaustive), shared PRF lanes and cache fills (scoped) — so on
-/// all-distinct traffic its dedup/wavefront bookkeeping is pure overhead
-/// over the per-packet paths, whose table sweeps already fill SIMD lanes on
-/// their own. Verdicts are identical either way, so gating on this is a
-/// pure speed heuristic.
+/// (exhaustive), one anonymous-ID memo (scoped) — so on all-distinct
+/// traffic its dedup/wavefront bookkeeping is pure overhead over the
+/// per-packet paths, whose table sweeps already fill SIMD lanes on their
+/// own. (Scoped: on an all-distinct 300-hop batch the planner measured ~15%
+/// slower; 256 lanes of memo and shell state outgrow the cache one packet's
+/// fit in.) Verdicts are identical either way, so gating on this is a pure
+/// speed heuristic.
 bool any_shared_report(const std::vector<net::Packet>& packets) {
   std::unordered_set<std::string_view> seen;
   seen.reserve(packets.size());
@@ -59,23 +61,18 @@ BatchVerifier::BatchVerifier(const marking::MarkingScheme& scheme,
   if (cfg_.strategy == BatchStrategy::kScoped && topo_ == nullptr) {
     throw std::invalid_argument("BatchVerifier: scoped strategy needs a topology");
   }
-  cache_.bind_entries_gauge(&counters_->registry().gauge("prf_cache_entries"));
 }
 
 marking::VerifyResult BatchVerifier::verify_one(const net::Packet& p) {
   const crypto::KeyStore& keys = *keys_.load(std::memory_order_acquire);
   if (cfg_.strategy == BatchStrategy::kScoped) {
-    return scoped_verify_pnm(p, keys, *topo_, scheme_.config(), nullptr,
-                             cfg_.use_cache ? &cache_ : nullptr, counters_);
+    return scoped_verify_pnm(p, keys, *topo_, scheme_.config(), nullptr, counters_);
   }
   return scheme_.verify(p, keys);
 }
 
 void BatchVerifier::rebind_keys(const crypto::KeyStore& keys) {
   keys_.store(&keys, std::memory_order_release);
-  // Memoized anon-IDs were computed under the old keys; a stale hit would
-  // silently verify against the retired epoch.
-  cache_.clear();
 }
 
 std::vector<marking::VerifyResult> BatchVerifier::verify_batch(
@@ -107,8 +104,7 @@ std::vector<marking::VerifyResult> BatchVerifier::verify_batch(
     std::span<const net::Packet> span(packets.data() + begin, end - begin);
     if (cfg_.strategy == BatchStrategy::kScoped) {
       plan_verify_scoped(scheme_.config(), keys, *topo_, span, results.data() + begin,
-                         cfg_.use_cache ? &cache_ : nullptr, *counters_,
-                         reports_deduped_);
+                         *counters_, reports_deduped_);
     } else {
       // The per-packet exhaustive path (PnmScheme::verify) meters into the
       // global counters regardless of `counters_`; keep that parity.

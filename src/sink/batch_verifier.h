@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "crypto/keys.h"
-#include "crypto/prf_cache.h"
 #include "marking/scheme.h"
 #include "net/topology.h"
 #include "sink/batch_plan.h"
@@ -43,13 +42,6 @@ struct BatchVerifierConfig {
   /// thread (the serial reference path).
   std::size_t threads = 0;
   BatchStrategy strategy = BatchStrategy::kExhaustive;
-  /// Memoize PRF probes across marks/packets. Consulted by the scoped
-  /// strategy only: the exhaustive path computes each (node, report) PRF
-  /// exactly once per table already, so there the flag is accepted as a
-  /// documented no-op — it neither changes results nor touches the cache
-  /// (asserted by tests/batch_verify_test.cpp). Defaults keep it on so
-  /// switching strategy never needs a config edit.
-  bool use_cache = true;
   /// Packets per task; 0 picks a chunk size that gives each worker ~4 tasks
   /// so stragglers even out. Per-packet pack mode only: the cross-packet
   /// planner always splits the batch into one contiguous chunk per worker,
@@ -75,7 +67,7 @@ class BatchVerifier {
   /// exceptions propagate to the caller. Also records one batch-latency
   /// sample, a per-packet latency sample into the strategy's histogram
   /// (`verify_packet_us_exhaustive` / `verify_packet_us_scoped`), refreshes
-  /// the PRF-cache gauges, and bumps kBatches / kPacketsVerified.
+  /// the memo hit-ratio gauge, and bumps kBatches / kPacketsVerified.
   std::vector<marking::VerifyResult> verify_batch(
       const std::vector<net::Packet>& packets);
 
@@ -83,14 +75,13 @@ class BatchVerifier {
   marking::VerifyResult verify_one(const net::Packet& p);
 
   std::size_t thread_count() const { return threads_; }
-  crypto::PrfCache& cache() { return cache_; }
   util::Counters& counters() { return *counters_; }
 
-  /// Swap the campaign key set this verifier evaluates against and flush the
-  /// PrfCache (its memoized anon-IDs are key-dependent). NOT safe against a
-  /// concurrent verify_batch on the same lane — callers quiesce the lane
-  /// first (Pipeline::wait_quiescent is the daemon's barrier). `keys` must
-  /// outlive every verify that follows.
+  /// Swap the campaign key set this verifier evaluates against. Memoized
+  /// anonymous IDs never outlive one verify call, so nothing key-dependent
+  /// survives the swap. NOT safe against a concurrent verify_batch on the
+  /// same lane — callers quiesce the lane first (Pipeline::wait_quiescent is
+  /// the daemon's barrier). `keys` must outlive every verify that follows.
   void rebind_keys(const crypto::KeyStore& keys);
 
  private:
@@ -103,16 +94,13 @@ class BatchVerifier {
   obs::Gauge* cache_hit_ratio_ppm_;  ///< hits/(hits+misses) in parts-per-million
   obs::Counter* reports_deduped_;    ///< packets that shared another's table
   bool plannable_;                   ///< scheme is PNM (planner semantics apply)
-  crypto::PrfCache cache_;
   std::size_t threads_;
   std::unique_ptr<util::ThreadPool> pool_;  // created lazily, only if threads_ > 1
 };
 
 /// A bank of independent verifier handles over one (scheme, keys, topology):
-/// the shard-aware face of the batch engine. Each lane owns its PrfCache, so
-/// a flow-affine router gives every flow's PRF probes a private, contention-
-/// free cache that stays hot for that flow — and concurrent verify_batch
-/// calls on distinct lanes never share mutable state (each lane is its own
+/// the shard-aware face of the batch engine. Concurrent verify_batch calls
+/// on distinct lanes never share mutable state (each lane is its own
 /// BatchVerifier; the registry instruments they report into are the shared,
 /// thread-safe ones). Verdicts are lane-independent: every lane runs the
 /// exact same per-packet code path, so which lane verifies a packet can

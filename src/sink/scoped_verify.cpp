@@ -2,137 +2,99 @@
 
 #include <algorithm>
 
-#include "crypto/anon_id.h"
-#include "crypto/hmac.h"
-#include "marking/mark.h"
+#include "sink/batch_plan.h"
 
 namespace pnm::sink {
 
+void RingShells::start(const net::Topology& topo, NodeId anchor) {
+  topo_ = &topo;
+  first_ = true;
+  prev_.clear();
+  cur_.assign(1, anchor);
+}
+
+std::span<const NodeId> RingShells::next() {
+  next_.clear();
+  for (NodeId v : cur_) {
+    for (NodeId u : topo_->neighbors(v)) {
+      if (!std::binary_search(cur_.begin(), cur_.end(), u) &&
+          !std::binary_search(prev_.begin(), prev_.end(), u)) {
+        next_.push_back(u);
+      }
+    }
+  }
+  std::sort(next_.begin(), next_.end());
+  next_.erase(std::unique(next_.begin(), next_.end()), next_.end());
+  if (first_) {  // ring 1 also holds the anchor itself
+    next_.insert(std::lower_bound(next_.begin(), next_.end(), cur_.front()), cur_.front());
+    first_ = false;
+  }
+  prev_.swap(cur_);
+  cur_.swap(next_);
+  return cur_;
+}
+
 namespace {
 
-/// Longest hop distance worth searching before declaring an ID alien: the
-/// network diameter bounds every honest gap.
-std::size_t diameter_bound(const net::Topology& topo) { return topo.node_count(); }
+/// Home slot of a memo key. Nodes 4k..4k+3 of one report share a group of
+/// four slots (one cache line of entries): a ring search probes
+/// neighboring ids, so its lookups mostly land on lines already touched.
+std::size_t home(std::uint64_t key) {
+  return static_cast<std::size_t>(((key >> 2) * 0x9e3779b97f4a7c15ULL) >> 32) * 4 + (key & 3);
+}
 
 }  // namespace
+
+void AnonMemo::reset(std::size_t anon_len) {
+  anon_len_ = anon_len;
+  count_ = 0;
+  if (++gen_ == 0) {  // stamp wrapped: clear for real once every 2^32 resets
+    std::fill(index_.begin(), index_.end(), Entry{});
+    gen_ = 1;
+  }
+}
+
+std::uint32_t AnonMemo::probe(std::uint32_t report, NodeId node, bool* fresh) {
+  if ((count_ + 1) * 2 > index_.size()) grow();
+  const std::uint64_t key = (std::uint64_t{report} << 16) | node;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = home(key);; ++i) {
+    Entry& e = index_[i & mask];
+    if (e.gen == gen_ && e.key == key) {
+      *fresh = false;
+      return e.slot;
+    }
+    if (e.gen != gen_) {
+      e = {key, gen_, count_};
+      if (values_.size() < (count_ + 1) * anon_len_)
+        values_.resize(std::max<std::size_t>(64, 2 * values_.size()) + anon_len_);
+      *fresh = true;
+      return count_++;
+    }
+  }
+}
+
+void AnonMemo::grow() {
+  std::vector<Entry> old = std::move(index_);
+  index_.assign(std::max<std::size_t>(64, 2 * old.size()), Entry{});
+  const std::size_t mask = index_.size() - 1;
+  for (const Entry& e : old) {
+    if (e.gen != gen_) continue;
+    std::size_t i = home(e.key);
+    while (index_[i & mask].gen == gen_) ++i;
+    index_[i & mask] = e;
+  }
+}
 
 marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
                                         const crypto::KeyStore& keys,
                                         const net::Topology& topo,
                                         const marking::SchemeConfig& cfg,
                                         ScopedVerifyStats* stats,
-                                        crypto::PrfCache* cache,
                                         util::Counters* counters) {
   marking::VerifyResult out;
-  out.total_marks = p.marks.size();
-  util::Counters& metrics = counters ? *counters : util::Counters::global();
-  metrics.add(util::Metric::kPacketsVerified);
-  if (p.marks.empty()) return out;
-
-  const std::uint64_t rkey = cache ? crypto::PrfCache::report_key(p.report) : 0;
-
-  ScopedVerifyStats local;
-  NodeId anchor = (p.delivered_by != kInvalidNode && p.delivered_by < topo.node_count())
-                      ? p.delivered_by
-                      : kSinkId;
-
-  for (std::size_t j = p.marks.size(); j-- > 0;) {
-    const net::Mark& m = p.marks[j];
-    NodeId resolved = kInvalidNode;
-
-    if (m.id_field.size() == cfg.anon_len) {
-      Bytes input = marking::nested_mac_input(p, j, m.id_field);
-      std::vector<NodeId> tried;  // sorted ids already checked in inner rings
-
-      for (std::size_t ring = 1; ring <= diameter_bound(topo) && resolved == kInvalidNode;
-           ++ring) {
-        if (ring > 1) ++local.ring_expansions;
-        std::vector<NodeId> ball = topo.k_hop_neighborhood(anchor, ring);
-
-        // Batched ring probe: collect the ring's eligible candidates, filter
-        // them through the PRF cache (hits never occupy a lane), evaluate
-        // the misses in one multi-lane sweep, then walk candidates in ball
-        // order with the serial path's accounting — prf_evaluations and the
-        // hit/miss/MAC counters meter candidates *walked* (up to the
-        // resolving one), exactly as the one-at-a-time loop did, while the
-        // lanes may have speculatively computed past the break point. Every
-        // computed value is cached; values are backend-independent, so the
-        // verdict is bit-identical either way.
-        thread_local std::vector<NodeId> eligible;
-        thread_local std::vector<Bytes> anons;
-        thread_local std::vector<std::uint8_t> was_hit;
-        thread_local std::vector<std::size_t> miss_idx;
-        thread_local std::vector<NodeId> miss_ids;
-        thread_local Bytes lane_out;
-        eligible.clear();
-        for (NodeId candidate : ball) {
-          if (candidate == kSinkId || candidate >= keys.size()) continue;
-          if (std::binary_search(tried.begin(), tried.end(), candidate)) continue;
-          eligible.push_back(candidate);
-        }
-        const bool grew = !eligible.empty();
-
-        anons.assign(eligible.size(), Bytes());
-        was_hit.assign(eligible.size(), 0);
-        miss_idx.clear();
-        for (std::size_t i = 0; i < eligible.size(); ++i) {
-          if (cache && cache->try_get(rkey, eligible[i], cfg.anon_len, &anons[i])) {
-            was_hit[i] = 1;
-          } else {
-            miss_idx.push_back(i);
-          }
-        }
-        if (!miss_idx.empty()) {
-          miss_ids.clear();
-          for (std::size_t i : miss_idx) miss_ids.push_back(eligible[i]);
-          lane_out.resize(miss_ids.size() * cfg.anon_len);
-          crypto::anon_id_batch(keys, p.report, miss_ids, cfg.anon_len,
-                                lane_out.data());
-          for (std::size_t k = 0; k < miss_idx.size(); ++k) {
-            const std::uint8_t* v = lane_out.data() + k * cfg.anon_len;
-            anons[miss_idx[k]].assign(v, v + cfg.anon_len);
-            if (cache)
-              cache->insert(rkey, miss_ids[k], cfg.anon_len, anons[miss_idx[k]]);
-          }
-        }
-
-        for (std::size_t i = 0; i < eligible.size(); ++i) {
-          NodeId candidate = eligible[i];
-          ++local.prf_evaluations;
-          if (cache && was_hit[i]) {
-            metrics.add(util::Metric::kCacheHits);
-          } else {
-            if (cache) metrics.add(util::Metric::kCacheMisses);
-            metrics.add(util::Metric::kPrfEvals);
-          }
-          if (anons[i] != m.id_field) continue;
-          ++local.mac_checks;
-          metrics.add(util::Metric::kMacChecks);
-          if (keys.hmac_key(candidate).verify(input, m.mac)) {
-            resolved = candidate;
-            break;
-          }
-        }
-        tried = std::move(ball);
-        std::sort(tried.begin(), tried.end());
-        if (!grew) break;  // ring stopped growing: whole component searched
-      }
-    }
-
-    if (resolved == kInvalidNode) {
-      out.invalid_marks = j + 1;
-      out.truncated_by_invalid = true;
-      break;
-    }
-    out.chain.insert(out.chain.begin(), marking::VerifiedMark{resolved, j});
-    anchor = resolved;  // next (more upstream) mark is near this node
-  }
-
-  if (stats) {
-    stats->prf_evaluations += local.prf_evaluations;
-    stats->mac_checks += local.mac_checks;
-    stats->ring_expansions += local.ring_expansions;
-  }
+  plan_verify_scoped(cfg, keys, topo, std::span<const net::Packet>(&p, 1), &out,
+                     counters ? *counters : util::Counters::global(), nullptr, stats);
   return out;
 }
 

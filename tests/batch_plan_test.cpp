@@ -18,6 +18,7 @@
 #include "marking/scheme.h"
 #include "net/report.h"
 #include "net/topology.h"
+#include "obs/metrics.h"
 #include "sink/anon_lookup.h"
 #include "sink/batch_plan.h"
 #include "sink/batch_verifier.h"
@@ -96,11 +97,10 @@ class BatchPlanFixture : public ::testing::Test {
 
   std::vector<marking::VerifyResult> run(const std::vector<net::Packet>& batch,
                                          PackMode mode, BatchStrategy strategy,
-                                         std::size_t threads, bool use_cache = false) {
+                                         std::size_t threads) {
     BatchVerifierConfig bcfg;
     bcfg.threads = threads;
     bcfg.strategy = strategy;
-    bcfg.use_cache = use_cache;
     bcfg.pack_mode = mode;
     const net::Topology* topo =
         strategy == BatchStrategy::kScoped ? &topo_ : nullptr;
@@ -109,15 +109,14 @@ class BatchPlanFixture : public ::testing::Test {
   }
 
   void expect_cross_matches_packet(const std::vector<net::Packet>& batch,
-                                   BatchStrategy strategy, std::size_t threads,
-                                   bool use_cache = false) {
-    auto expected = run(batch, PackMode::kPacket, strategy, threads, use_cache);
-    auto got = run(batch, PackMode::kCross, strategy, threads, use_cache);
+                                   BatchStrategy strategy, std::size_t threads) {
+    auto expected = run(batch, PackMode::kPacket, strategy, threads);
+    auto got = run(batch, PackMode::kCross, strategy, threads);
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_TRUE(same_result(got[i], expected[i]))
           << "strategy=" << (strategy == BatchStrategy::kScoped ? "scoped" : "exhaustive")
-          << " threads=" << threads << " cache=" << use_cache << " packet=" << i;
+          << " threads=" << threads << " packet=" << i;
     }
   }
 
@@ -254,10 +253,8 @@ TEST_F(BatchPlanFixture, ExhaustiveCrossMatchesSerialReference) {
 
 TEST_F(BatchPlanFixture, ScopedCrossMatchesPacketMode) {
   auto batch = make_traffic(40, 103, /*flows=*/6);
-  for (bool use_cache : {false, true}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      expect_cross_matches_packet(batch, BatchStrategy::kScoped, threads, use_cache);
-    }
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    expect_cross_matches_packet(batch, BatchStrategy::kScoped, threads);
   }
 }
 
@@ -269,8 +266,7 @@ TEST_F(BatchPlanFixture, AllShaBackendsAgree) {
     if (!crypto::sha_backend_supported(backend)) continue;
     crypto::force_sha_backend(backend);
     for (auto strategy : {BatchStrategy::kExhaustive, BatchStrategy::kScoped}) {
-      auto got = run(batch, PackMode::kCross, strategy, 2,
-                     /*use_cache=*/strategy == BatchStrategy::kScoped);
+      auto got = run(batch, PackMode::kCross, strategy, 2);
       ASSERT_EQ(got.size(), expected.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_TRUE(same_result(got[i], expected[i]))
@@ -292,8 +288,7 @@ TEST_F(BatchPlanFixture, RaggedBatchStress) {
       auto batch = make_traffic(size, 1000 + size, flows, /*corrupt=*/5);
       expect_cross_matches_packet(batch, BatchStrategy::kExhaustive,
                                   /*threads=*/4);
-      expect_cross_matches_packet(batch, BatchStrategy::kScoped, /*threads=*/4,
-                                  /*use_cache=*/true);
+      expect_cross_matches_packet(batch, BatchStrategy::kScoped, /*threads=*/4);
     }
   }
 }
@@ -325,6 +320,120 @@ TEST_F(BatchPlanFixture, DedupCounterCountsSharedTables) {
   engine.verify_batch(distinct);
   EXPECT_EQ(counters.registry().counter("sink_reports_deduped").value(),
             expect_deduped);
+}
+
+// The sinkbench deep-scoped regime: a 300-hop chain, ~3 marks per packet
+// about 100 hops apart, and a duplicate-heavy batch (16 reports x 4
+// deliveries back to back, each delivery marked afresh) carrying one of each
+// damage the §7 search must survive.
+class DeepChainPlanTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kForwarders = 300;
+
+  DeepChainPlanTest()
+      : topo_(net::Topology::chain(kForwarders)),
+        keys_(str_bytes("deep-plan-master"), topo_.node_count()) {
+    cfg_.mark_probability = 3.0 / static_cast<double>(kForwarders);
+    scheme_ = marking::make_scheme(marking::SchemeKind::kPnm, cfg_);
+    Rng rng(4711);
+    for (std::size_t n = 0; n < 16 * 4; ++n) {
+      auto flow = static_cast<std::uint32_t>(n / 4);
+      net::Packet p;
+      p.report = net::Report{flow, 2, 3, 5000 + flow}.encode();
+      for (auto v = static_cast<NodeId>(kForwarders); v >= 1; --v) {
+        scheme_->mark(p, v, keys_.key_unchecked(v), rng);
+      }
+      p.delivered_by = 1;
+      batch_.push_back(std::move(p));
+    }
+    // Damage five distinct packets that carry at least two marks.
+    std::size_t next = 0;
+    auto victim = [&]() -> net::Packet& {
+      while (batch_[next].marks.size() < 2) ++next;
+      return batch_[next++];
+    };
+    victim().marks.front().mac[0] ^= 0x5a;  // tampered MAC, upstream mark
+    net::Mark& alien = victim().marks.back();  // no node owns this anon ID:
+    alien.id_field[0] ^= 0xff;                 // full-component search, then
+    alien.id_field[1] ^= 0xff;                 // truncation
+    victim().marks[1].id_field.pop_back();      // wrong-width id_field
+    victim().delivered_by = kInvalidNode;       // unknown anchor: the sink
+    victim().delivered_by = 5000;               // out-of-range anchor: the sink
+  }
+
+  std::vector<marking::VerifyResult> run(PackMode mode, std::size_t threads) {
+    BatchVerifierConfig bcfg;
+    bcfg.threads = threads;
+    bcfg.strategy = BatchStrategy::kScoped;
+    bcfg.pack_mode = mode;
+    BatchVerifier engine(*scheme_, keys_, bcfg, &topo_);
+    return engine.verify_batch(batch_);
+  }
+
+  /// Total SHA-256 jobs one verify_batch ran: the crypto_lanes_filled sum
+  /// (exact on lane-packing backends, which meter one sample per sweep).
+  std::uint64_t sha_jobs(PackMode mode, std::size_t threads) {
+    obs::Histogram& lanes = obs::MetricsRegistry::global().histogram("crypto_lanes_filled");
+    const std::uint64_t before = lanes.snapshot().sum;
+    run(mode, threads);
+    return lanes.snapshot().sum - before;
+  }
+
+  net::Topology topo_;
+  crypto::KeyStore keys_;
+  marking::SchemeConfig cfg_;
+  std::unique_ptr<marking::MarkingScheme> scheme_;
+  std::vector<net::Packet> batch_;
+};
+
+TEST_F(DeepChainPlanTest, PlannerPacketAndExhaustiveAgree) {
+  std::vector<marking::VerifyResult> expected;
+  for (const net::Packet& p : batch_) expected.push_back(scheme_->verify(p, keys_));
+  std::size_t truncated = 0;
+  for (const auto& r : expected) truncated += r.truncated_by_invalid ? 1 : 0;
+  ASSERT_GE(truncated, 3u);  // the tampered, alien and wrong-width packets
+
+  for (auto backend : {crypto::Sha256Backend::kScalar, crypto::Sha256Backend::kSse2,
+                       crypto::Sha256Backend::kAvx2, crypto::Sha256Backend::kShaNi}) {
+    if (!crypto::sha_backend_supported(backend)) continue;
+    crypto::force_sha_backend(backend);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      auto cross = run(PackMode::kCross, threads);
+      auto packet = run(PackMode::kPacket, threads);
+      ASSERT_EQ(cross.size(), expected.size());
+      ASSERT_EQ(packet.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_TRUE(same_result(cross[i], expected[i]))
+            << crypto::sha_backend_name(backend) << " threads=" << threads
+            << " cross packet=" << i;
+        EXPECT_TRUE(same_result(packet[i], expected[i]))
+            << crypto::sha_backend_name(backend) << " threads=" << threads
+            << " per-packet packet=" << i;
+      }
+    }
+  }
+  crypto::force_sha_backend(std::nullopt);
+}
+
+TEST_F(DeepChainPlanTest, CrossRunsNoMoreShaJobsThanPacketMode) {
+  // Cross mode memoizes each (report, node) PRF once per chunk, so the four
+  // deliveries of a report share their ring probes; per-packet mode pays
+  // them per delivery. MAC work is the same in both.
+  std::size_t checked = 0;
+  for (auto backend : {crypto::Sha256Backend::kSse2, crypto::Sha256Backend::kAvx2}) {
+    if (!crypto::sha_backend_supported(backend)) continue;
+    crypto::force_sha_backend(backend);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const std::uint64_t cross = sha_jobs(PackMode::kCross, threads);
+      const std::uint64_t packet = sha_jobs(PackMode::kPacket, threads);
+      EXPECT_GT(cross, 0u);
+      EXPECT_LE(cross, packet)
+          << crypto::sha_backend_name(backend) << " threads=" << threads;
+      ++checked;
+    }
+  }
+  crypto::force_sha_backend(std::nullopt);
+  if (checked == 0) GTEST_SKIP() << "no lane-packing SHA-256 backend on this CPU";
 }
 
 }  // namespace

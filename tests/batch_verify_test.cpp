@@ -1,8 +1,8 @@
 // sink::BatchVerifier determinism contract: the parallel engine must be
 // bit-identical to serial PnmScheme::verify across seeds, batch sizes and
 // thread counts — including on attack traffic (selective dropping, identity
-// swapping, altering, removal) — and the scoped+cached strategy must match
-// the exhaustive one while actually hitting the memo cache.
+// swapping, altering, removal) — and the scoped strategy must match the
+// exhaustive one while actually hitting its anonymous-ID memo.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -12,6 +12,7 @@
 #include "marking/scheme.h"
 #include "net/topology.h"
 #include "sink/batch_verifier.h"
+#include "sink/scoped_verify.h"
 #include "util/rng.h"
 
 namespace pnm::sink {
@@ -157,15 +158,18 @@ TEST_F(BatchVerifyFixture, AlteredAndRemovedMarksTraffic) {
   expect_parallel_matches_serial(removed);
 }
 
-TEST_F(BatchVerifyFixture, ScopedCachedStrategyMatchesExhaustive) {
+TEST_F(BatchVerifyFixture, ScopedMemoStrategyMatchesExhaustive) {
   auto batch = make_traffic(40, 29);
   auto expected = serial_reference(batch);
 
+  // Per-packet mode on all-distinct reports: every memo hit is a repeated
+  // probe *within* one packet (the next mark's rings re-cross the node just
+  // resolved and its neighbors).
   util::Counters counters;
   BatchVerifierConfig bcfg;
   bcfg.threads = 4;
   bcfg.strategy = BatchStrategy::kScoped;
-  bcfg.use_cache = true;
+  bcfg.pack_mode = PackMode::kPacket;
   BatchVerifier engine(*scheme_, keys_, bcfg, &topo_, &counters);
   auto got = engine.verify_batch(batch);
 
@@ -173,30 +177,50 @@ TEST_F(BatchVerifyFixture, ScopedCachedStrategyMatchesExhaustive) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_TRUE(same_result(got[i], expected[i])) << "packet " << i;
   }
-  // The ring search probes the same (node, report) repeatedly across marks;
-  // the memo cache must absorb those repeats.
   EXPECT_GT(counters.get(util::Metric::kCacheHits), 0u);
   EXPECT_GT(counters.get(util::Metric::kPrfEvals), 0u);
   EXPECT_EQ(counters.get(util::Metric::kPacketsVerified), batch.size());
-  EXPECT_GT(engine.cache().size(), 0u);
+
+  // Exact accounting: every candidate walked is one memo hit or one miss,
+  // and every miss is one PRF evaluation.
+  ScopedVerifyStats stats;
+  util::Counters serial;
+  for (const net::Packet& p : batch) {
+    scoped_verify_pnm(p, keys_, topo_, scheme_->config(), &stats, &serial);
+  }
+  EXPECT_EQ(serial.get(util::Metric::kCacheHits) + serial.get(util::Metric::kCacheMisses),
+            stats.prf_evaluations);
+  EXPECT_EQ(serial.get(util::Metric::kCacheMisses), serial.get(util::Metric::kPrfEvals));
+  EXPECT_EQ(serial.get(util::Metric::kCacheHits), counters.get(util::Metric::kCacheHits));
+  EXPECT_EQ(serial.get(util::Metric::kMacChecks), stats.mac_checks);
 }
 
-TEST_F(BatchVerifyFixture, UseCacheIsDocumentedNoOpForExhaustive) {
-  // BatchVerifierConfig::use_cache only drives the scoped strategy's PRF
-  // memo; with the exhaustive strategy it is accepted as a documented no-op —
-  // verdicts unchanged and the cache never populated.
+TEST_F(BatchVerifyFixture, ExhaustiveStrategyNeverTouchesMemo) {
+  // The exhaustive path builds one table per report and has nothing to
+  // memoize: verdicts match the serial reference and no memo hit or miss is
+  // ever metered, on the engine's counters or the global ones.
   auto batch = make_traffic(24, 43);
   auto expected = serial_reference(batch);
-  BatchVerifierConfig bcfg;
-  bcfg.threads = 2;
-  bcfg.use_cache = true;  // exhaustive: must change nothing
-  BatchVerifier engine(*scheme_, keys_, bcfg);
-  auto got = engine.verify_batch(batch);
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_TRUE(same_result(got[i], expected[i])) << "packet " << i;
+  util::Counters& global = util::Counters::global();
+  const std::uint64_t hits0 = global.get(util::Metric::kCacheHits);
+  const std::uint64_t misses0 = global.get(util::Metric::kCacheMisses);
+  for (PackMode mode : {PackMode::kPacket, PackMode::kCross}) {
+    util::Counters counters;
+    BatchVerifierConfig bcfg;
+    bcfg.threads = 2;
+    bcfg.pack_mode = mode;
+    BatchVerifier engine(*scheme_, keys_, bcfg, nullptr, &counters);
+    auto got = engine.verify_batch(batch);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(same_result(got[i], expected[i]))
+          << pack_mode_name(mode) << " packet " << i;
+    }
+    EXPECT_EQ(counters.get(util::Metric::kCacheHits), 0u);
+    EXPECT_EQ(counters.get(util::Metric::kCacheMisses), 0u);
   }
-  EXPECT_EQ(engine.cache().size(), 0u);
+  EXPECT_EQ(global.get(util::Metric::kCacheHits), hits0);
+  EXPECT_EQ(global.get(util::Metric::kCacheMisses), misses0);
 }
 
 TEST_F(BatchVerifyFixture, RepeatedBatchesAreDeterministic) {

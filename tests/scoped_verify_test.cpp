@@ -2,6 +2,13 @@
 // verifier, cost advantage, and edge cases (unknown anchor, alien marks).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "crypto/keys.h"
 #include "marking/scheme.h"
 #include "net/routing.h"
@@ -152,6 +159,54 @@ TEST(KHopNeighborhood, GridBall) {
   EXPECT_EQ(ball1.size(), 5u);               // center + 4-neighborhood
   auto ball2 = t.k_hop_neighborhood(12, 2);
   EXPECT_EQ(ball2.size(), 13u);  // diamond of radius 2
+}
+
+// RingShells against the k_hop_neighborhood oracle: every shell sorted and
+// disjoint from the earlier ones, shells 1..k uniting to ball(k), and empty
+// shells once the anchor's component is exhausted — on a chain, a grid, a
+// random deployment and a two-piece field, from the sink, an end node and an
+// interior node, out past the component's eccentricity.
+TEST(RingShellsTest, MatchesKHopNeighborhoodOracle) {
+  Rng rng(2718);
+  std::vector<std::pair<std::string, net::Topology>> topos;
+  topos.emplace_back("chain", net::Topology::chain(20));
+  topos.emplace_back("grid", net::Topology::grid(7, 6, 1.5));
+  topos.emplace_back("random_geometric",
+                     net::Topology::random_geometric(80, 10.0, 2.5, rng));
+  topos.emplace_back("two_pieces",
+                     net::Topology({{0, 0}, {1, 0}, {2, 0}, {1, 1}, {9, 0}, {10, 0}}, 1.25));
+
+  for (const auto& [name, t] : topos) {
+    const auto last = static_cast<NodeId>(t.node_count() - 1);
+    const auto interior = static_cast<NodeId>(t.node_count() / 2);
+    for (NodeId anchor : {kSinkId, last, interior}) {
+      SCOPED_TRACE(name + " anchor=" + std::to_string(anchor));
+      const std::size_t component = t.k_hop_neighborhood(anchor, t.node_count()).size();
+      std::size_t eccentricity = 0;
+      while (t.k_hop_neighborhood(anchor, eccentricity).size() < component) ++eccentricity;
+
+      RingShells shells;
+      shells.start(t, anchor);
+      std::set<NodeId> reached;
+      for (std::size_t k = 1; k <= eccentricity + 2; ++k) {
+        std::span<const NodeId> shell = shells.next();
+        EXPECT_TRUE(std::adjacent_find(shell.begin(), shell.end(),
+                                       std::greater_equal<NodeId>()) == shell.end())
+            << "shell " << k << " not strictly ascending";
+        for (NodeId v : shell) {
+          EXPECT_TRUE(reached.insert(v).second) << "node " << v << " repeated in shell " << k;
+        }
+        EXPECT_EQ(std::vector<NodeId>(reached.begin(), reached.end()),
+                  t.k_hop_neighborhood(anchor, k))
+            << "shells 1.." << k;
+        if (k > std::max<std::size_t>(eccentricity, 1)) {
+          EXPECT_TRUE(shell.empty()) << "shell " << k << " past the component";
+        } else {
+          EXPECT_FALSE(shell.empty()) << "shell " << k << " inside the component";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 // pin that invariant across ragged message lengths (0..3 blocks, including
 // every padding boundary) and ragged batch sizes (1..17, so lanes are
 // under-, exactly- and over-subscribed), plus the batched HMAC/PRF layers
-// and the PRF-cache lane-bypass contract.
+// and the anonymous-ID memo's lane-bypass contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,13 +16,13 @@
 #include "crypto/anon_id.h"
 #include "crypto/hmac.h"
 #include "crypto/keys.h"
-#include "crypto/prf_cache.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_multi.h"
 #include "marking/scheme.h"
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "sink/anon_lookup.h"
+#include "sink/batch_plan.h"
 #include "sink/scoped_verify.h"
 #include "util/rng.h"
 
@@ -221,16 +221,19 @@ TEST(Sha256MultiTest, AnonIdTableIdenticalAcrossBackends) {
   }
 }
 
-std::uint64_t lanes_hist_count() {
+std::uint64_t lanes_hist_sum() {
   pnm::obs::MetricsSnapshot snap = pnm::obs::MetricsRegistry::global().scrape();
   const pnm::obs::MetricSample* s = snap.find("crypto_lanes_filled");
-  return s ? s->hist.count : 0;
+  return s ? s->hist.sum : 0;
 }
 
-// PRF-cache stress: a warm cache must (a) keep results bit-identical and
-// (b) bypass lane packing entirely — no new multi-lane sweeps — because
-// hits are filtered out before jobs are packed.
-TEST(Sha256MultiTest, PrfCacheHitsBypassLanePackingWithoutChangingResults) {
+// Anonymous-ID memo: hits never occupy a lane. A second copy of a packet in
+// the same scoped planner call probes exactly the first copy's (report,
+// node) pairs, so every one of its probes is a memo hit and the only lanes
+// it adds are its MACs (two SHA-256 jobs each); verdicts are unchanged.
+// Checked on the lane-packing backends, whose occupancy histogram sums to
+// the exact job count (single-lane rungs meter one sample per call).
+TEST(Sha256MultiTest, AnonMemoHitsBypassLanePackingWithoutChangingResults) {
   net::Topology topo = net::Topology::chain(12);
   KeyStore keys(Bytes{0xaa, 0xbb, 0xcc}, topo.node_count());
   marking::SchemeConfig cfg;
@@ -245,21 +248,7 @@ TEST(Sha256MultiTest, PrfCacheHitsBypassLanePackingWithoutChangingResults) {
     scheme->mark(p, v, keys.key_unchecked(v), rng);
   }
   p.delivered_by = 1;
-
-  marking::VerifyResult no_cache =
-      sink::scoped_verify_pnm(p, keys, topo, cfg, nullptr, nullptr);
-
-  PrfCache cache;
-  marking::VerifyResult cold =
-      sink::scoped_verify_pnm(p, keys, topo, cfg, nullptr, &cache);
-  EXPECT_GT(cache.size(), 0u);
-
-  std::uint64_t sweeps_before_warm = lanes_hist_count();
-  marking::VerifyResult warm =
-      sink::scoped_verify_pnm(p, keys, topo, cfg, nullptr, &cache);
-  std::uint64_t sweeps_after_warm = lanes_hist_count();
-  EXPECT_EQ(sweeps_before_warm, sweeps_after_warm)
-      << "warm-cache verify packed lanes for cached PRFs";
+  const marking::VerifyResult expected = scheme->verify(p, keys);
 
   auto same = [](const marking::VerifyResult& a, const marking::VerifyResult& b) {
     if (a.total_marks != b.total_marks || a.invalid_marks != b.invalid_marks ||
@@ -273,8 +262,42 @@ TEST(Sha256MultiTest, PrfCacheHitsBypassLanePackingWithoutChangingResults) {
     }
     return true;
   };
-  EXPECT_TRUE(same(no_cache, cold));
-  EXPECT_TRUE(same(no_cache, warm));
+
+  std::size_t checked = 0;
+  for (Sha256Backend backend : supported_backends()) {
+    if (sha_backend_lanes(backend) == 1) continue;
+    SCOPED_TRACE(sha_backend_name(backend));
+    ForcedBackend pin(backend);
+    auto run = [&](std::size_t copies, util::Counters& counters, std::uint64_t* jobs) {
+      std::vector<net::Packet> batch(copies, p);
+      std::vector<marking::VerifyResult> out(copies);
+      const std::uint64_t before = lanes_hist_sum();
+      sink::plan_verify_scoped(cfg, keys, topo, batch, out.data(), counters, nullptr);
+      *jobs = lanes_hist_sum() - before;
+      return out;
+    };
+    util::Counters one_c, two_c;
+    std::uint64_t one_jobs = 0, two_jobs = 0;
+    auto one = run(1, one_c, &one_jobs);
+    auto two = run(2, two_c, &two_jobs);
+
+    // One packet already re-probes nodes across its marks.
+    EXPECT_GT(one_c.get(util::Metric::kCacheHits), 0u);
+    // The copy never misses...
+    EXPECT_EQ(two_c.get(util::Metric::kCacheMisses), one_c.get(util::Metric::kCacheMisses));
+    EXPECT_EQ(two_c.get(util::Metric::kCacheHits),
+              2 * one_c.get(util::Metric::kCacheHits) +
+                  one_c.get(util::Metric::kCacheMisses));
+    // ...and packs lanes for its MACs only.
+    EXPECT_EQ(two_jobs - one_jobs, 2 * one_c.get(util::Metric::kMacChecks));
+    EXPECT_GT(one_jobs, two_jobs - one_jobs);
+
+    EXPECT_TRUE(same(one[0], expected));
+    EXPECT_TRUE(same(two[0], expected));
+    EXPECT_TRUE(same(two[1], expected));
+    ++checked;
+  }
+  if (checked == 0) GTEST_SKIP() << "no lane-packing SHA-256 backend on this CPU";
 }
 
 // Scoped and exhaustive verification agree on every backend (the paper's
