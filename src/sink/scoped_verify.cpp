@@ -48,6 +48,12 @@ std::size_t home(std::uint64_t key) {
 void AnonMemo::reset(std::size_t anon_len) {
   anon_len_ = anon_len;
   count_ = 0;
+  if (index_.size() > kRetainedSlots) {
+    // A call that probed whole components (alien IDs on a large network)
+    // does not pin its peak footprint in a long-lived thread's memo.
+    index_ = {};
+    values_ = {};
+  }
   if (++gen_ == 0) {  // stamp wrapped: clear for real once every 2^32 resets
     std::fill(index_.begin(), index_.end(), Entry{});
     gen_ = 1;

@@ -86,6 +86,10 @@ class AnonMemo {
   };
   void grow();
 
+  /// Index size kept across reset(): 4 MiB of entries, several times what a
+  /// 256-packet batch on the 300-hop benchmark chain needs (about 9k pairs).
+  static constexpr std::size_t kRetainedSlots = std::size_t{1} << 18;
+
   std::vector<Entry> index_;  ///< power-of-two open-addressed table
   Bytes values_;              ///< anon_len_ bytes per slot, in insertion order
   std::size_t anon_len_ = 0;

@@ -209,5 +209,40 @@ TEST(RingShellsTest, MatchesKHopNeighborhoodOracle) {
   }
 }
 
+// AnonMemo: pairs are keyed by (report, node), fresh slots are numbered
+// consecutively, values survive index growth, and reset() forgets
+// everything — also after a call whose footprint exceeded what the memo
+// keeps between calls (three reports x 60000 nodes).
+TEST(AnonMemoTest, ProbeGrowAndReset) {
+  AnonMemo memo;
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    memo.reset(2);
+    bool fresh = false;
+    std::uint32_t next = 0;
+    for (std::uint32_t report = 0; report < 3; ++report) {
+      for (std::uint32_t n = 0; n < 60000; ++n) {
+        const std::uint32_t slot = memo.probe(report, static_cast<NodeId>(n), &fresh);
+        ASSERT_TRUE(fresh);
+        ASSERT_EQ(slot, next++);
+        memo.value(slot)[0] = static_cast<std::uint8_t>(n);
+        memo.value(slot)[1] = static_cast<std::uint8_t>((n >> 8) ^ report);
+      }
+    }
+    for (std::uint32_t report = 0; report < 3; ++report) {
+      for (std::uint32_t n = 0; n < 60000; n += 7) {
+        const std::uint32_t slot = memo.probe(report, static_cast<NodeId>(n), &fresh);
+        ASSERT_FALSE(fresh);
+        ASSERT_EQ(memo.value(slot)[0], static_cast<std::uint8_t>(n));
+        ASSERT_EQ(memo.value(slot)[1], static_cast<std::uint8_t>((n >> 8) ^ report));
+      }
+    }
+  }
+  memo.reset(2);
+  bool fresh = false;
+  EXPECT_EQ(memo.probe(2, 7, &fresh), 0u);
+  EXPECT_TRUE(fresh);
+}
+
 }  // namespace
 }  // namespace pnm::sink
