@@ -64,7 +64,8 @@ class RingShells {
 ///
 /// Memory grows with the probes made, not with reports × nodes: an
 /// open-addressed index over a flat value arena. reset() is O(1) (the index
-/// is generation-stamped), so a thread-local memo is free to reuse.
+/// is generation-stamped) unless it releases an oversized index, so a
+/// thread-local memo is free to reuse.
 class AnonMemo {
  public:
   /// Forget every entry and fix the value width for what follows.
@@ -87,7 +88,7 @@ class AnonMemo {
   void grow();
 
   /// Index size kept across reset(): 4 MiB of entries, several times what a
-  /// 256-packet batch on the 300-hop benchmark chain needs (about 9k pairs).
+  /// 256-packet batch on the 300-hop benchmark chain needs (9k-18k pairs).
   static constexpr std::size_t kRetainedSlots = std::size_t{1} << 18;
 
   std::vector<Entry> index_;  ///< power-of-two open-addressed table
